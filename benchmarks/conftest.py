@@ -1,11 +1,11 @@
 """Shared helpers for the per-figure/per-table benchmark harness.
 
 Every benchmark module regenerates one table or figure of the paper's
-evaluation (see DESIGN.md for the index).  The workloads are scaled down
-relative to the paper (fewer seeds, shorter horizons) so that the full
-harness runs in minutes on a laptop; the *shape* of each result — orderings,
-crossovers, scaling trends — is what is being reproduced, and each module
-asserts that shape where it is deterministic enough to check.
+evaluation (see docs/paper_to_code.md for the index).  The workloads are
+scaled down relative to the paper (fewer seeds, shorter horizons) so that
+the full harness runs in minutes on a laptop; the *shape* of each result —
+orderings, crossovers, scaling trends — is what is being reproduced, and
+each module asserts that shape where it is deterministic enough to check.
 
 Run with::
 

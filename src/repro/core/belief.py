@@ -25,7 +25,10 @@ This module implements that filter in two flavours:
 * :func:`batch_update_compromise_belief` -- the vectorized counterpart of
   the scalar update, operating on arrays of beliefs/actions/observations at
   once.  It is the numerical core of the batch simulation engine in
-  :mod:`repro.sim` and is bit-compatible with the scalar update.
+  :mod:`repro.sim` and is bit-compatible with the scalar update;
+* :func:`belief_transition_distribution` -- the next-belief distribution
+  the belief-MDP solvers back up over, optionally memoized in a
+  :class:`CachedBeliefDynamics` table.
 
 Degenerate-observation convention
 ---------------------------------
@@ -44,15 +47,11 @@ the live-conditioned compromise probability ``P[C | alive]``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .node_model import NODE_STATES, NodeAction, NodeState, NodeTransitionModel
 from .observation import ObservationModel
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core <- sim)
-    from ..sim.kernels import CachedBeliefDynamics
 
 __all__ = [
     "BeliefState",
@@ -60,6 +59,7 @@ __all__ = [
     "update_compromise_belief",
     "batch_update_compromise_belief",
     "belief_transition_distribution",
+    "CachedBeliefDynamics",
 ]
 
 
@@ -226,8 +226,6 @@ def _batch_two_state_posterior(
     likelihood_compromised: np.ndarray,
     wait_matrix: np.ndarray,
     recover_matrix: np.ndarray,
-    workspace: dict | None = None,
-    assume_regular: bool = False,
 ) -> np.ndarray:
     """Vectorized core of the two-state belief recursion.
 
@@ -248,56 +246,32 @@ def _batch_two_state_posterior(
         likelihood_compromised: ``Z(o_t | C)`` per element, shape ``(B,)``.
         wait_matrix: ``3 x 3`` transition matrix ``f_N(. | ., W)``.
         recover_matrix: ``3 x 3`` transition matrix ``f_N(. | ., R)``.
-        workspace: Optional reusable buffer dict for hot loops (the batch
-            engine passes one per simulation): ``embedded`` of shape
-            ``(B, 3)`` with the third column zeroed, ``prior_wait`` /
-            ``prior_recover`` of shape ``(B, 3)``, and optionally ``ones``
-            of shape ``(B,)`` for the degenerate-observation fallback.
-            Callers supplying a workspace must consume (or copy) the result
-            before the next call.
-        assume_regular: The caller guarantees the degenerate-observation
-            fallback cannot trigger (full-support observation model and
-            sub-stochastic-to-live transition rows, Assumption D), so the
-            check is skipped.
 
     Returns:
         Posterior beliefs ``b_t``, shape ``(B,)``.
     """
     beliefs = np.asarray(beliefs, dtype=float)
-    batch = beliefs.shape[0]
-    if workspace is None:
-        embedded = np.zeros((batch, 3))
-        prior_wait = None
-        prior_recover = None
-    else:
-        embedded = workspace["embedded"]
-        prior_wait = workspace["prior_wait"]
-        prior_recover = workspace["prior_recover"]
+    embedded = np.zeros((beliefs.shape[0], 3))
     embedded[:, 0] = 1.0 - beliefs
     embedded[:, 1] = beliefs
-    prior_wait = np.matmul(embedded, wait_matrix, out=prior_wait)
-    prior_recover = np.matmul(embedded, recover_matrix, out=prior_recover)
+    prior_wait = embedded @ wait_matrix
+    prior_recover = embedded @ recover_matrix
     prior = np.where(recover_mask[:, None], prior_recover, prior_wait)
 
     weight_healthy = likelihood_healthy * prior[:, 0]
     weight_compromised = likelihood_compromised * prior[:, 1]
     total = weight_healthy + weight_compromised
 
-    if assume_regular or not (total <= 0.0).any():
+    if not (total <= 0.0).any():
         # Regular case (every observation has positive likelihood under
         # some live state): one plain division, no masked machinery.
         return weight_compromised / total
 
     live_mass = prior[:, 0] + prior[:, 1]
-    if workspace is not None and "ones" in workspace:
-        ones = workspace["ones"]
-        ones.fill(1.0)
-    else:
-        ones = np.ones(batch)
     fallback = np.divide(
         prior[:, 1],
         live_mass,
-        out=ones,
+        out=np.ones(beliefs.shape[0]),
         where=live_mass > 0.0,
     )
     posterior = np.divide(
@@ -362,12 +336,52 @@ def batch_update_compromise_belief(
     )
 
 
+class CachedBeliefDynamics:
+    """Exact memo table for deterministic belief-dynamics evaluations.
+
+    Belief updates and observation probabilities are pure functions of
+    ``(belief, action, observation)``; backward-induction solvers evaluate
+    them for the same grid beliefs over and over (every stage of a
+    finite-horizon sweep revisits the full grid).  The memo returns the
+    previously computed float — which is *exact*, not approximate, because
+    identical double inputs produce identical doubles.
+
+    The table is keyed by the raw float belief plus the discrete arguments;
+    ``hits`` / ``misses`` counters make cache effectiveness observable.
+    """
+
+    def __init__(self) -> None:
+        self._memo: dict[tuple, object] = {}
+        self.hits = 0
+        self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self._memo)
+
+    def get(self, key: tuple, compute):
+        """Return the memoized value for ``key``, computing it on first use."""
+        try:
+            value = self._memo[key]
+        except KeyError:
+            self.misses += 1
+            value = compute()
+            self._memo[key] = value
+            return value
+        self.hits += 1
+        return value
+
+    def clear(self) -> None:
+        self._memo.clear()
+        self.hits = 0
+        self.misses = 0
+
+
 def belief_transition_distribution(
     belief: float,
     action: NodeAction,
     transition_model: NodeTransitionModel,
     observation_model: ObservationModel,
-    cache: "CachedBeliefDynamics | None" = None,
+    cache: CachedBeliefDynamics | None = None,
 ) -> list[tuple[float, float]]:
     """Distribution over next beliefs ``(probability, b')`` given ``(b, a)``.
 
@@ -376,8 +390,7 @@ def belief_transition_distribution(
     next belief ``b' = tau(b, a, o)`` occurs with probability ``P[o | b, a]``.
 
     Args:
-        cache: Optional
-            :class:`~repro.sim.kernels.CachedBeliefDynamics` memo.  The
+        cache: Optional :class:`CachedBeliefDynamics` memo.  The
             distribution is a pure function of ``(belief, action)`` for
             fixed models, so backward-induction sweeps that revisit grid
             beliefs reuse the exact previously computed list.

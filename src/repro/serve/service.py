@@ -10,8 +10,8 @@ Cross-fleet batching
 --------------------
 
 Sessions whose scenarios compile to the same engine tables (identical
-scenario mapping and kernel backend) and that register before their cohort
-takes its first tick are **fused**: their per-session uniform buffers —
+scenario mapping) and that register before their cohort takes its first
+tick are **fused**: their per-session uniform buffers —
 ``engine.draw_uniforms(seed_i, B_i)``, episode-major children of
 ``SeedSequence(seed_i)`` — are concatenated along the episode axis into a
 single :class:`~repro.sim.engine.BatchEpisodeState`, and every tick runs
@@ -33,7 +33,8 @@ A tick request from *any* session advances its whole cohort one fused
 step; the other sessions' events are buffered and delivered when they ask.
 Sessions may therefore tick at different paces without blocking each
 other, and a single-threaded client driving many sessions never
-deadlocks.
+deadlocks.  Once every member of a cohort has closed, the service drops
+the cohort and with it the fused state and its uniform buffer.
 
 Policy solves (the LP replication route of ``replication: {type: lp}``)
 are served from the process-wide, thread-safe
@@ -47,6 +48,7 @@ from __future__ import annotations
 import itertools
 import json
 import threading
+from collections import deque
 from typing import Any, Mapping
 
 import numpy as np
@@ -222,7 +224,7 @@ class _Session:
         self.lo = 0
         self.hi = 0
         #: Events produced by cohort advances this session has not consumed.
-        self.events: list[TwoLevelStepEvent] = []
+        self.events: deque[TwoLevelStepEvent] = deque()
         self.closed = False
         self.cohort: "_Cohort | None" = None
 
@@ -235,7 +237,8 @@ class _Cohort:
     :meth:`advance` call executes one fused engine step for every member.
     """
 
-    def __init__(self, engine: BatchRecoveryEngine, profile: bool) -> None:
+    def __init__(self, key: str, engine: BatchRecoveryEngine, profile: bool) -> None:
+        self.key = key
         self.engine = engine
         self.profile = profile
         self.sessions: list[_Session] = []
@@ -378,19 +381,18 @@ class DecisionService:
 
     # -- registration -------------------------------------------------------------
     @staticmethod
-    def _scenario_key(scenario: FleetScenario, backend: str) -> str:
+    def _scenario_key(scenario: FleetScenario) -> str:
         """Content key of the engine tables a scenario compiles to."""
-        mapping = scenario_to_mapping(scenario)
-        return backend + ":" + json.dumps(mapping, sort_keys=True)
+        return json.dumps(scenario_to_mapping(scenario), sort_keys=True)
 
     def register_controller(
         self, controller: TwoLevelController, seed: int | None = 0
     ) -> str:
         """Register a pre-built controller as a new session.
 
-        The session joins (or opens) the cohort of its scenario/backend
-        key; its decisions replay ``controller.run(seed=seed)`` bit for
-        bit.  Returns the session id.
+        The session joins (or opens) the cohort of its scenario key; its
+        decisions replay ``controller.run(seed=seed)`` bit for bit.
+        Returns the session id.
         """
         with self._lock:
             engine = controller.env.engine
@@ -398,7 +400,7 @@ class DecisionService:
                 from ..sim.adversary import resolve_adversary_entropy
 
                 seed = resolve_adversary_entropy(None)
-            key = self._scenario_key(controller.scenario, engine.backend)
+            key = self._scenario_key(controller.scenario)
             self._engines.setdefault(key, engine)
             session = _Session(
                 session_id=f"s{next(self._ids)}",
@@ -408,7 +410,7 @@ class DecisionService:
             )
             cohort = self._open_cohorts.get(key) if self.coalesce else None
             if cohort is None or cohort.sealed:
-                cohort = _Cohort(self._engines[key], self.profile)
+                cohort = _Cohort(key, self._engines[key], self.profile)
                 self._cohorts.append(cohort)
                 if self.coalesce:
                     self._open_cohorts[key] = cohort
@@ -438,11 +440,7 @@ class DecisionService:
                 raise ServiceError("invalid-scenario", str(exc)) from exc
             if overrides:
                 run.update({k: v for k, v in overrides.items() if v is not None})
-            from ..sim.kernels import resolve_backend
-
-            key_engine = self._engines.get(
-                self._scenario_key(scenario, resolve_backend(None))
-            )
+            key_engine = self._engines.get(self._scenario_key(scenario))
             controller, seed = build_session_controller(
                 scenario, run, engine=key_engine, policy_cache=self.policy_cache
             )
@@ -490,7 +488,7 @@ class DecisionService:
                     self.node_decisions += (
                         cohort.num_episodes * cohort.engine.scenario.num_nodes
                     )
-                delivered.append(session.events.pop(0))
+                delivered.append(session.events.popleft())
             self.ticks_served += len(delivered)
             return delivered
 
@@ -519,12 +517,19 @@ class DecisionService:
 
         Inside a sealed fused cohort its episode rows keep stepping (the
         fused state is shared), but no further events are buffered for it.
+        Closing the last open member releases the cohort: the service
+        keeps no reference to it, so its fused state is freed.
         """
         with self._lock:
             session = self._get(session_id)
             session.closed = True
             session.events.clear()
             del self._sessions[session_id]
+            cohort, session.cohort = session.cohort, None
+            if all(member.closed for member in cohort.sessions):
+                self._cohorts.remove(cohort)
+                if self._open_cohorts.get(cohort.key) is cohort:
+                    del self._open_cohorts[cohort.key]
 
     # -- introspection ------------------------------------------------------------
     def stats(self) -> dict[str, Any]:

@@ -48,16 +48,17 @@ Layer contract
   (This replaced the pre-1.1 single shared generator — same-seed outputs
   differ from version 1.0.0.)
 
-Kernel backends (PR 7)
-----------------------
+The engine kernel
+-----------------
 
-The belief kernels and the closed run loop live in :mod:`repro.sim.kernels`
-behind a selectable backend: ``fused`` (default, bit-exact flat-gather
-kernels plus a prefix-memoized belief trellis), ``reference`` (the
-node-by-node path of PRs 1-6, bit-exact), and ``numba`` (optional JIT,
-``pip install .[kernels]``, validated under a versioned tolerance tier).
-Select with ``BatchRecoveryEngine(scenario, backend=...)`` or the
-``REPRO_ENGINE_BACKEND`` environment variable.
+The belief update and the closed run loop live in one kernel,
+:class:`~repro.sim.kernels.FusedKernel`: precomputed flat tables turn the
+Appendix A recursion of every ``(B, N)`` stream into integer gathers plus
+one fused multiply-add, bit-exact against the scalar simulator.  The engine
+advances it two ways — the stepwise :meth:`~BatchRecoveryEngine.step` that
+the environments and the control loop drive, and the closed
+:meth:`~BatchRecoveryEngine.run` driver with deferred bookkeeping — and
+the test suite pins both to each other and to the scalar oracle.
 
 Adversary processes (PR 9)
 --------------------------
@@ -71,7 +72,7 @@ attacker and keeps the static-CDF fast path bit-exact; dynamic adversaries
 :class:`~repro.sim.adversary.BurstyAdversary` on/off intensity,
 :class:`~repro.sim.adversary.StealthAdversary` alert suppression) rebuild
 the transition CDFs per step from salted, episode-sliceable uniform
-streams, on every backend.  Scenarios with adversaries round-trip through
+streams.  Scenarios with adversaries round-trip through
 the versioned YAML schema (``FleetScenario.from_yaml`` / ``to_yaml``) and
 run from the command line via ``python -m repro run scenario.yaml``.
 
@@ -101,14 +102,7 @@ from .adversary import (
     adversary_to_spec,
 )
 from .engine import BatchEpisodeState, BatchRecoveryEngine, BatchSimulationResult
-from .kernels import (
-    BeliefTrellis,
-    CachedBeliefDynamics,
-    EngineProfile,
-    available_backends,
-    resolve_backend,
-    trellis_eligible,
-)
+from .kernels import EngineProfile
 from .scenario import FleetScenario, NodeClass
 from .strategies import (
     BatchMultiThreshold,
@@ -125,9 +119,7 @@ __all__ = [
     "BatchRecoveryEngine",
     "BatchSimulationResult",
     "BatchStrategy",
-    "BeliefTrellis",
     "BurstyAdversary",
-    "CachedBeliefDynamics",
     "CorrelatedAdversary",
     "EngineProfile",
     "FleetScenario",
@@ -138,8 +130,5 @@ __all__ = [
     "adversary_from_spec",
     "adversary_to_spec",
     "as_batch_strategy",
-    "available_backends",
     "batch_update_compromise_belief",
-    "resolve_backend",
-    "trellis_eligible",
 ]

@@ -20,7 +20,7 @@ and threads back into the per-step hooks.  An adversary implements:
 
 * ``is_static`` — ``True`` iff the pressure equals the scenario baseline at
   every step.  Static adversaries take the engine's precompiled-CDF fast
-  path (kernel rank tables, belief trellis) untouched and are **bit-exact**
+  path (the kernel's rank tables) untouched and are **bit-exact**
   with the pre-seam engine by construction; dynamic adversaries route
   through a per-step CDF construction that reproduces
   :meth:`~repro.core.node_model.NodeTransitionModel._build_matrices`

@@ -34,18 +34,19 @@ per episode.  Three properties make that possible:
 ``tests/test_sim_equivalence.py`` asserts the resulting exact parity for
 every strategy class.
 
-Backends
---------
+The kernel
+----------
 
-The belief kernels and the closed run loop live behind a selectable backend
-(:mod:`repro.sim.kernels`): ``fused`` (default) runs the whole update as
-flat gathers plus one fused multiply-add and memoizes belief prefixes in a
-trellis for deterministic strategies, ``reference`` is the node-by-node
-path of PRs 1-6, and ``numba`` (optional, ``pip install .[kernels]``) JITs
-the full step loop.  ``reference`` and ``fused`` are both bit-exact; the
-``numba`` backend is validated under a versioned tolerance tier.  Select
-with ``BatchRecoveryEngine(scenario, backend=...)`` or the
-``REPRO_ENGINE_BACKEND`` environment variable.
+Every engine runs one kernel, :class:`~repro.sim.kernels.FusedKernel`: the
+belief update of all ``(B, N)`` streams is a few flat gathers plus one
+fused multiply-add, bit-exact against the scalar update.  The engine
+advances it two ways.  :meth:`BatchRecoveryEngine.begin` /
+:meth:`~BatchRecoveryEngine.step` / :meth:`~BatchRecoveryEngine.finalize`
+is the stepwise path the environments and the control loop drive (and the
+only path for dynamic adversaries); :meth:`BatchRecoveryEngine.run` with a
+static adversary uses the kernel's closed run driver, which precomputes the
+CDF rank of every uniform and defers the bookkeeping to the end.  The test
+suite pins the two paths to each other bit for bit.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from .adversary import (
     draw_adversary_uniforms as _draw_adversary_uniforms,
     resolve_adversary_entropy,
 )
-from .kernels import BACKENDS, EngineProfile, resolve_backend
+from .kernels import EngineProfile, FusedKernel
 from .scenario import FleetScenario
 from .strategies import BatchMultiThreshold, BatchStrategy, as_batch_strategy
 
@@ -240,12 +241,9 @@ class BatchRecoveryEngine:
 
     Args:
         scenario: The fleet scenario to precompile.
-        backend: Kernel backend name (``"reference"``, ``"fused"`` or
-            ``"numba"``); ``None`` consults the ``REPRO_ENGINE_BACKEND``
-            environment variable and defaults to ``"fused"``.
     """
 
-    def __init__(self, scenario: FleetScenario, backend: str | None = None) -> None:
+    def __init__(self, scenario: FleetScenario) -> None:
         self.scenario = scenario
         transition_models = scenario.transition_models()
         #: (N, |A|, |S|, |S|) raw transition matrices for belief updates.
@@ -299,9 +297,7 @@ class BatchRecoveryEngine:
         self._p_c2 = np.array([p.p_c2 for p in scenario.node_params])
         self._p_u = np.array([p.p_u for p in scenario.node_params])
         self._baseline_pressure = np.array([p.p_a for p in scenario.node_params])
-        #: Resolved backend name and the kernel instance implementing it.
-        self.backend = resolve_backend(backend)
-        self._kernel = BACKENDS[self.backend](self)
+        self._kernel = FusedKernel(self)
 
     @property
     def is_dynamic(self) -> bool:
@@ -380,7 +376,6 @@ class BatchRecoveryEngine:
         seed: int | None = None,
         uniforms: np.ndarray | None = None,
         profile: bool | EngineProfile | None = None,
-        trellis: bool | None = None,
         adversary_uniforms: np.ndarray | None = None,
     ) -> BatchSimulationResult:
         """Simulate ``num_episodes`` episodes of the whole fleet.
@@ -399,9 +394,6 @@ class BatchRecoveryEngine:
             profile: ``True`` (or an :class:`EngineProfile` to accumulate
                 into) records per-phase wall-clock time; the filled profile
                 is returned on the result.
-            trellis: Force the prefix-memoized belief trellis on or off for
-                eligible deterministic strategies; ``None`` lets the
-                backend decide.
             adversary_uniforms: Pre-drawn ``(B, horizon, K)`` adversary
                 buffer (dynamic adversaries with pre-drawn ``uniforms``
                 require it; the seed path draws it automatically from the
@@ -418,12 +410,11 @@ class BatchRecoveryEngine:
             if self._dynamic and adversary_uniforms is None:
                 adversary_uniforms = self.draw_adversary_uniforms(seed, num_episodes)
         batch_strategies = self._normalize_strategies(strategies)
-        prof = EngineProfile(backend=self.backend) if profile is True else profile
+        prof = EngineProfile() if profile is True else profile
         result = self._simulate(
             batch_strategies,
             uniforms,
             profile=prof,
-            trellis=trellis,
             adversary_uniforms=adversary_uniforms,
         )
         if prof is not None:
@@ -548,7 +539,7 @@ class BatchRecoveryEngine:
                 adversary_uniforms = self.draw_adversary_uniforms(seed, num_episodes)
         sim = self._begin(uniforms, track_metrics, adversary_uniforms)
         if profile:
-            sim.profile = EngineProfile(backend=self.backend)
+            sim.profile = EngineProfile()
         return sim
 
     def _begin(
@@ -873,16 +864,13 @@ class BatchRecoveryEngine:
         strategies: list[BatchStrategy],
         uniforms: np.ndarray,
         profile: EngineProfile | None = None,
-        trellis: bool | None = None,
         adversary_uniforms: np.ndarray | None = None,
     ) -> BatchSimulationResult:
         if self._dynamic:
             return self._simulate_dynamic(
                 strategies, uniforms, profile, adversary_uniforms
             )
-        return self._kernel.simulate(
-            strategies, uniforms, profile=profile, trellis=trellis
-        )
+        return self._kernel.simulate(strategies, uniforms, profile=profile)
 
     def _simulate_dynamic(
         self,
@@ -893,13 +881,12 @@ class BatchRecoveryEngine:
     ) -> BatchSimulationResult:
         """Generic step-loop driver for dynamic adversaries.
 
-        The kernels' fused ``simulate`` fast paths (merged-CDF rank tables,
-        transition matmul tables, the belief trellis) all bake the static
-        per-node CDFs in at construction time, so dynamic adversaries route
-        through this explicit loop instead — :meth:`step` rebuilds the
-        transition CDFs per step, while belief updates still go through the
-        active kernel's ``update_beliefs`` (the defender's recursion uses
-        the nominal model on every backend).
+        The kernel's closed ``simulate`` driver bakes the static per-node
+        CDFs (merged-CDF rank tables, transition tables) in at construction
+        time, so dynamic adversaries route through this explicit loop
+        instead — :meth:`step` rebuilds the transition CDFs per step, while
+        belief updates still go through the kernel's ``update_beliefs``
+        (the defender's recursion uses the nominal model).
         """
         sim = self._begin(uniforms, True, adversary_uniforms)
         if profile is not None:
@@ -912,15 +899,3 @@ class BatchRecoveryEngine:
                 )
             self.step(sim, recover)
         return self.finalize(sim)
-
-    def _update_beliefs(
-        self,
-        recover: np.ndarray,
-        observation_index: np.ndarray,
-        belief: np.ndarray,
-        workspace: dict | None = None,
-    ) -> np.ndarray:
-        """Batched Appendix A recursion (delegates to the active kernel)."""
-        return self._kernel.update_beliefs(
-            recover, observation_index, belief, workspace=workspace
-        )

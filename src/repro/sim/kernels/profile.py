@@ -1,7 +1,7 @@
 """Per-phase wall-clock accounting for the batch engine.
 
 :class:`EngineProfile` accumulates cumulative nanoseconds per simulation
-phase so that kernel regressions are attributable: when a backend change
+phase so that kernel regressions are attributable: when a kernel change
 slows the Table 2/7 evaluation down, the profile says whether the time went
 into transition sampling, observation draws, the belief update, or the
 bookkeeping around them.
@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 __all__ = ["EngineProfile", "PHASES"]
 
-#: Canonical phase names, in simulation order.  Backends may add phases of
-#: their own (the trellis driver does), but these four are always present.
+#: Canonical phase names, in simulation order.
 PHASES = (
     "strategy",
     "transition_sample",
@@ -42,12 +41,10 @@ class EngineProfile:
     Attributes:
         nanos: Phase name -> cumulative nanoseconds.
         steps: Number of engine steps accounted for.
-        backend: Name of the backend that filled the profile (informational).
     """
 
     nanos: dict[str, int] = field(default_factory=lambda: {p: 0 for p in PHASES})
     steps: int = 0
-    backend: str = ""
 
     def add(self, phase: str, ns: int) -> None:
         self.nanos[phase] = int(self.nanos.get(phase, 0)) + int(ns)
@@ -58,10 +55,8 @@ class EngineProfile:
 
         Sums the per-phase nanosecond totals and step counts of every
         non-``None`` input (``None`` entries — shards run without
-        profiling — are skipped).  Non-canonical phases contributed by a
-        backend (e.g. the trellis driver) are preserved; the backend name
-        is taken from the first profile that set one.  The merge of zero
-        profiles is an empty profile.
+        profiling — are skipped).  Phases outside :data:`PHASES` are
+        preserved.  The merge of zero profiles is an empty profile.
         """
         merged = cls()
         for profile in profiles:
@@ -70,8 +65,6 @@ class EngineProfile:
             for phase, ns in profile.nanos.items():
                 merged.add(phase, ns)
             merged.steps += int(profile.steps)
-            if not merged.backend and profile.backend:
-                merged.backend = profile.backend
         return merged
 
     @property
@@ -87,7 +80,7 @@ class EngineProfile:
         )
 
     def __str__(self) -> str:  # pragma: no cover - repr convenience
-        head = f"EngineProfile(backend={self.backend or '?'}, steps={self.steps})"
+        head = f"EngineProfile(steps={self.steps})"
         body = "".join(
             f"\n  {name:<20} {ms:9.3f} ms  {share:6.1%}" for name, ms, share in self.rows()
         )

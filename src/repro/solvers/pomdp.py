@@ -27,11 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.belief import update_compromise_belief
+from ..core.belief import CachedBeliefDynamics, update_compromise_belief
 from ..core.costs import expected_node_cost
 from ..core.node_model import NodeAction, NodeParameters, NodeState, NodeTransitionModel
 from ..core.observation import ObservationModel
-from ..sim.kernels import CachedBeliefDynamics
 
 __all__ = [
     "RecoveryPOMDP",

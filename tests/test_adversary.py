@@ -5,8 +5,8 @@ Four layers of guarantees:
 * **Seam parity (hypothesis property):** a scenario with no adversary, with
   the default :class:`~repro.sim.adversary.StaticAdversary`, and with
   ``StaticAdversary(force_dynamic=True)`` — which routes through the
-  per-step dynamic-CDF construction — produce bit-identical engine logs on
-  every available backend, over randomized parameters and seeds.
+  per-step dynamic-CDF construction of the step loop — produce
+  bit-identical engine logs, over randomized parameters and seeds.
 * **Run-path parity:** the dynamic path agrees bit-for-bit between the
   batched controller run and its scalar reference, and between serial and
   sharded (``n_jobs``) sweeps.
@@ -52,11 +52,9 @@ from repro.sim import (
     StealthAdversary,
     adversary_from_spec,
     adversary_to_spec,
-    available_backends,
 )
 
 _MODEL = BetaBinomialObservationModel()
-_EXACT_BACKENDS = [b for b in available_backends() if b in ("fused", "reference")]
 
 #: Engine log fields compared bit-for-bit.
 _LOG_FIELDS = (
@@ -80,8 +78,8 @@ def _scenario(adversary, p_a=0.08, num_nodes=3, horizon=100, delta_r=15.0):
     )
 
 
-def _run(scenario, backend, seed, num_episodes=16, alpha=0.75):
-    engine = BatchRecoveryEngine(scenario, backend=backend)
+def _run(scenario, seed, num_episodes=16, alpha=0.75):
+    engine = BatchRecoveryEngine(scenario)
     return engine.run(ThresholdStrategy(alpha), num_episodes=num_episodes, seed=seed)
 
 
@@ -113,24 +111,20 @@ class TestStaticSeamBitExact:
                 horizon=40,
             ),
         ]
-        for backend in _EXACT_BACKENDS:
-            results = [_run(s, backend, seed, num_episodes=8) for s in scenarios]
-            _assert_logs_equal(results[0], results[1])
-            _assert_logs_equal(results[0], results[2])
+        results = [_run(s, seed, num_episodes=8) for s in scenarios]
+        _assert_logs_equal(results[0], results[1])
+        _assert_logs_equal(results[0], results[2])
 
-    @pytest.mark.parametrize("backend", _EXACT_BACKENDS)
-    def test_force_dynamic_bit_exact_across_backends(self, backend):
-        r_static = _run(_scenario(None), backend, seed=1234, num_episodes=32)
+    def test_force_dynamic_bit_exact(self):
+        r_static = _run(_scenario(None), seed=1234, num_episodes=32)
         r_dynamic = _run(
             _scenario(StaticAdversary(force_dynamic=True)),
-            backend,
             seed=1234,
             num_episodes=32,
         )
         _assert_logs_equal(r_static, r_dynamic)
 
-    @pytest.mark.parametrize("backend", _EXACT_BACKENDS)
-    def test_two_level_result_parity_static_vs_seam(self, backend):
+    def test_two_level_result_parity_static_vs_seam(self):
         results = []
         for adversary in (None, StaticAdversary(force_dynamic=True)):
             controller = TwoLevelController(
@@ -138,7 +132,6 @@ class TestStaticSeamBitExact:
                 8,
                 ThresholdStrategy(0.75),
                 replication_strategy=ReplicationThresholdStrategy(1),
-                backend=backend,
             )
             results.append(controller.run(seed=9))
         a, b = results
@@ -171,7 +164,7 @@ class TestDynamicRunPathParity:
 
     def test_engine_shards_match_serial(self):
         scenario = _scenario(CorrelatedAdversary(), horizon=60)
-        serial = _run(scenario, None, seed=5, num_episodes=16)
+        serial = _run(scenario, seed=5, num_episodes=16)
         for n_jobs in (1, 2):
             table = parallel_engine_sweep_table(
                 [("s", scenario)],
@@ -250,7 +243,7 @@ class TestZooGoldenSnapshots:
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_golden_snapshot(self, name):
         adversary, expected = self.GOLDEN[name]
-        result = _run(_scenario(adversary), None, seed=1234, num_episodes=64)
+        result = _run(_scenario(adversary), seed=1234, num_episodes=64)
         assert float(result.average_cost.mean()) == pytest.approx(
             expected["cost"], rel=1e-12
         )
@@ -264,8 +257,8 @@ class TestZooGoldenSnapshots:
 class TestZooBehaviour:
     def test_stealth_suppression_degrades_detection(self):
         """Suppression hides compromises from the IDS: cost rises sharply."""
-        baseline = _run(_scenario(StealthAdversary(suppression=0.0)), None, 42, 64)
-        stealthy = _run(_scenario(StealthAdversary(suppression=0.9)), None, 42, 64)
+        baseline = _run(_scenario(StealthAdversary(suppression=0.0)), 42, 64)
+        stealthy = _run(_scenario(StealthAdversary(suppression=0.9)), 42, 64)
         assert stealthy.average_cost.mean() > baseline.average_cost.mean()
         assert stealthy.availability.mean() < baseline.availability.mean()
 
@@ -273,7 +266,7 @@ class TestZooBehaviour:
         """Shared latent intensity correlates per-node compromise counts."""
 
         def mean_pairwise_correlation(adversary):
-            result = _run(_scenario(adversary, horizon=200), None, 7, 128)
+            result = _run(_scenario(adversary, horizon=200), 7, 128)
             counts = result.num_compromises.astype(float)
             corr = np.corrcoef(counts, rowvar=False)
             off_diagonal = corr[~np.eye(corr.shape[0], dtype=bool)]
@@ -287,8 +280,8 @@ class TestZooBehaviour:
         assert correlated > independent + 0.1
 
     def test_bursty_differs_from_static(self):
-        static = _run(_scenario(None), None, 1234, 64)
-        bursty = _run(_scenario(BurstyAdversary()), None, 1234, 64)
+        static = _run(_scenario(None), 1234, 64)
+        bursty = _run(_scenario(BurstyAdversary()), 1234, 64)
         assert not np.array_equal(static.average_cost, bursty.average_cost)
 
     def test_spec_round_trip(self):

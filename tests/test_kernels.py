@@ -1,12 +1,14 @@
-"""Tests for the selectable kernel backends (``repro.sim.kernels``, PR 7).
+"""Tests for the batch engine's kernel (``repro.sim.kernels``).
 
-Covers the backend registry and selection precedence, bit-exactness of the
-fused backend against the reference backend (property-based, including the
-degenerate-observation fallback and the belief trellis), the rank-table
-machinery behind the fused run loop, the numba backend's versioned
-tolerance tier (run as pure Python so the contract is testable without the
-optional dependency), and the observability satellites (per-phase profiles,
-workspace allocation in ``begin``, the belief-dynamics memo).
+Pins :class:`~repro.sim.kernels.FusedKernel` to its two oracles: the scalar
+:class:`~repro.solvers.evaluation.RecoverySimulator` for single-node runs
+(random parameters, the degenerate-observation model, every strategy class,
+per-episode thresholds), and the stepwise ``begin``/``step``/``finalize``
+loop for multi-node fleets — the loop whose per-node equality to scalar
+runs ``tests/test_sim_equivalence.py`` pins.  Also covers the rank-table
+machinery behind the closed run driver and the observability satellites
+(per-phase profiles, workspace allocation in ``begin``, the belief-dynamics
+memo).
 """
 
 from __future__ import annotations
@@ -15,39 +17,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_sim_equivalence import STRATEGY_CASES
 
 import repro.sim.kernels.fused as fused_module
 from repro.core import (
     BetaBinomialObservationModel,
+    CachedBeliefDynamics,
     DiscreteObservationModel,
     MultiThresholdStrategy,
     NodeParameters,
     PeriodicStrategy,
     ThresholdStrategy,
 )
-from repro.sim import (
-    BatchMultiThreshold,
-    BatchRecoveryEngine,
-    CachedBeliefDynamics,
-    EngineProfile,
-    FleetScenario,
-    available_backends,
-    resolve_backend,
-)
-from repro.sim.kernels import (
-    BACKENDS,
-    DEFAULT_BACKEND,
-    ENV_VAR,
-    HAVE_NUMBA,
-    NUMBA_TOLERANCE_TIER,
-    FusedKernel,
-    NumbaKernel,
-)
+from repro.sim import BatchMultiThreshold, BatchRecoveryEngine, FleetScenario
+from repro.sim.kernels import FusedKernel
+from repro.solvers import RecoverySimulator
 
 _OBSERVATION_MODEL = BetaBinomialObservationModel()
 
-#: Small observation alphabet (|O| = 3 <= _MAX_TRELLIS_AUTO_OBS): the fused
-#: backend turns the belief trellis on automatically for this model.
+#: Small observation alphabet (|O| = 3).
 _SMALL_MODEL = DiscreteObservationModel(
     observations=[0, 1, 2],
     healthy_pmf=[0.7, 0.2, 0.1],
@@ -63,10 +51,14 @@ _DEGENERATE_MODEL = DiscreteObservationModel(
 )
 
 
-def _single_node(model=_OBSERVATION_MODEL, horizon=40, **params):
+def _params(**params):
     params.setdefault("p_a", 0.1)
     params.setdefault("delta_r", 8)
-    return FleetScenario.single_node(NodeParameters(**params), model, horizon=horizon)
+    return NodeParameters(**params)
+
+
+def _single_node(model=_OBSERVATION_MODEL, horizon=40, **params):
+    return FleetScenario.single_node(_params(**params), model, horizon=horizon)
 
 
 def _assert_results_equal(a, b):
@@ -85,55 +77,37 @@ def _assert_results_equal(a, b):
         assert np.array_equal(a.availability, b.availability)
 
 
-def _compare_backends(scenario, strategy, num_episodes=32, seed=3, trellis=None):
-    reference = BatchRecoveryEngine(scenario, backend="reference")
-    fused = BatchRecoveryEngine(scenario, backend="fused")
-    ref = reference.run(strategy, num_episodes=num_episodes, seed=seed)
-    out = fused.run(strategy, num_episodes=num_episodes, seed=seed, trellis=trellis)
-    _assert_results_equal(ref, out)
-    return ref
+def _assert_matches_scalar(model, strategy, num_episodes, seed, horizon=40, **params):
+    """The engine's run == the scalar simulator, episode for episode."""
+    simulator = RecoverySimulator(_params(**params), model, horizon=horizon)
+    scalar = simulator.evaluate(strategy, num_episodes=num_episodes, seed=seed)
+    batch = simulator.evaluate(strategy, num_episodes=num_episodes, seed=seed, batch=True)
+    assert scalar == batch
 
 
-class TestBackendSelection:
-    def test_registry_and_default(self):
-        assert set(BACKENDS) == {"reference", "fused", "numba"}
-        assert DEFAULT_BACKEND == "fused"
-        names = available_backends()
-        assert "reference" in names and "fused" in names
-        assert ("numba" in names) == HAVE_NUMBA
+def _step_loop(engine, strategy, num_episodes, seed):
+    """Drive ``begin``/``step``/``finalize`` with the strategies' masks."""
+    strategies = engine._normalize_strategies(strategy)
+    sim = engine.begin(num_episodes=num_episodes, seed=seed)
+    recover = np.empty(sim.state.shape, dtype=bool)
+    for _ in range(engine.scenario.horizon):
+        for j, node_strategy in enumerate(strategies):
+            recover[:, j] = node_strategy.action_batch(
+                sim.belief[:, j], sim.time_since_recovery[:, j]
+            )
+        engine.step(sim, recover)
+    return engine.finalize(sim)
 
-    def test_explicit_argument(self):
-        engine = BatchRecoveryEngine(_single_node(), backend="reference")
-        assert engine.backend == "reference"
-        assert type(engine._kernel).__name__ == "ReferenceKernel"
 
-    def test_environment_variable(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "reference")
-        assert resolve_backend() == "reference"
-        assert BatchRecoveryEngine(_single_node()).backend == "reference"
-        # An explicit argument beats the environment variable.
-        assert BatchRecoveryEngine(_single_node(), backend="fused").backend == "fused"
-
-    def test_default_when_unset(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        assert resolve_backend() == DEFAULT_BACKEND
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine backend"):
-            resolve_backend("fortran")
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba installed: no fallback to test")
-    def test_numba_fallback_warns(self):
-        with pytest.warns(RuntimeWarning, match="numba is not installed"):
-            engine = BatchRecoveryEngine(_single_node(), backend="numba")
-        assert engine.backend == "fused"
-
-    def test_case_and_whitespace_insensitive(self):
-        assert resolve_backend("  Reference ") == "reference"
+def _assert_run_matches_step_loop(scenario, strategy, num_episodes, seed):
+    engine = BatchRecoveryEngine(scenario)
+    result = engine.run(strategy, num_episodes=num_episodes, seed=seed)
+    _assert_results_equal(result, _step_loop(engine, strategy, num_episodes, seed))
+    return result
 
 
 class TestFusedBitExactness:
-    """The fused backend must reproduce the reference backend bit for bit."""
+    """The kernel reproduces the scalar update and the scalar simulator."""
 
     @given(
         p_a=st.floats(min_value=0.01, max_value=0.5),
@@ -152,7 +126,7 @@ class TestFusedBitExactness:
 
         model = _DEGENERATE_MODEL if degenerate else _SMALL_MODEL
         scenario = _single_node(model, p_a=p_a, p_c1=p_c1, p_u=p_u)
-        engine = BatchRecoveryEngine(scenario, backend="fused")
+        engine = BatchRecoveryEngine(scenario)
         kernel = engine._kernel
         rng = np.random.default_rng(seed)
         batch = 17
@@ -183,8 +157,16 @@ class TestFusedBitExactness:
     )
     @settings(max_examples=25, deadline=None)
     def test_threshold_parity_random_parameters(self, p_a, p_c1, p_u, alpha, seed):
-        scenario = _single_node(p_a=p_a, p_c1=p_c1, p_u=p_u, horizon=25)
-        _compare_backends(scenario, ThresholdStrategy(alpha), num_episodes=20, seed=seed)
+        _assert_matches_scalar(
+            _OBSERVATION_MODEL,
+            ThresholdStrategy(alpha),
+            num_episodes=20,
+            seed=seed,
+            horizon=25,
+            p_a=p_a,
+            p_c1=p_c1,
+            p_u=p_u,
+        )
 
     @given(
         alpha=st.floats(min_value=0.0, max_value=1.0),
@@ -192,10 +174,16 @@ class TestFusedBitExactness:
     )
     @settings(max_examples=15, deadline=None)
     def test_degenerate_observation_fallback_parity(self, alpha, seed):
-        scenario = _single_node(_DEGENERATE_MODEL, p_u=0.0, horizon=25)
-        engine = BatchRecoveryEngine(scenario, backend="fused")
+        engine = BatchRecoveryEngine(_single_node(_DEGENERATE_MODEL, p_u=0.0, horizon=25))
         assert not engine._regular_observations
-        _compare_backends(scenario, ThresholdStrategy(alpha), num_episodes=20, seed=seed)
+        _assert_matches_scalar(
+            _DEGENERATE_MODEL,
+            ThresholdStrategy(alpha),
+            num_episodes=20,
+            seed=seed,
+            horizon=25,
+            p_u=0.0,
+        )
 
     @pytest.mark.parametrize(
         "strategy",
@@ -207,13 +195,21 @@ class TestFusedBitExactness:
         ids=["threshold", "multi-threshold", "periodic"],
     )
     def test_strategy_classes_parity(self, strategy):
-        _compare_backends(_single_node(), strategy, num_episodes=48, seed=11)
+        _assert_matches_scalar(_OBSERVATION_MODEL, strategy, num_episodes=48, seed=11)
 
     def test_per_episode_thresholds_parity(self):
-        """2-D BatchMultiThreshold is trellis-ineligible but still bit-exact."""
+        """Row ``b`` of a 2-D BatchMultiThreshold == a scalar run of its thresholds."""
         rng = np.random.default_rng(5)
-        strategy = BatchMultiThreshold(rng.uniform(0.2, 0.9, size=(48, 3)))
-        _compare_backends(_single_node(), strategy, num_episodes=48, seed=11)
+        thresholds = rng.uniform(0.2, 0.9, size=(48, 3))
+        engine = BatchRecoveryEngine(_single_node())
+        episodes = engine.run(
+            BatchMultiThreshold(thresholds), num_episodes=48, seed=11
+        ).episode_results(node=0)
+        simulator = RecoverySimulator(_params(), _OBSERVATION_MODEL, horizon=40)
+        rngs = simulator.episode_rngs(11, 48)
+        for row, episode_rng, episode in zip(thresholds, rngs, episodes):
+            strategy = MultiThresholdStrategy.from_vector(row, delta_r=8.0)
+            assert simulator.run_episode(strategy, episode_rng) == episode
 
     @pytest.mark.parametrize("num_nodes", [2, 4, 6])
     def test_multi_node_parity(self, num_nodes):
@@ -226,29 +222,31 @@ class TestFusedBitExactness:
             horizon=30,
             f=1,
         )
-        ref = _compare_backends(scenario, ThresholdStrategy(0.5), num_episodes=24, seed=2)
-        assert ref.availability is not None
+        result = _assert_run_matches_step_loop(
+            scenario, ThresholdStrategy(0.5), num_episodes=24, seed=2
+        )
+        assert result.availability is not None
 
 
-class TestBeliefTrellis:
-    def test_trellis_on_off_parity(self):
-        """Forced on, forced off and auto all agree with the reference path."""
-        scenario = _single_node(_SMALL_MODEL, horizon=40)
-        strategy = ThresholdStrategy(0.55)
-        for trellis in (True, False, None):
-            _compare_backends(scenario, strategy, num_episodes=64, seed=9, trellis=trellis)
+class TestRunMatchesStepLoop:
+    """The closed run driver is bit-equal to a begin/step/finalize loop."""
 
-    def test_trellis_cap_materializes(self, monkeypatch):
-        """Hitting the node cap abandons the trellis mid-run, not the results."""
-        monkeypatch.setattr(fused_module, "_MAX_TRELLIS_NODES", 4)
-        scenario = _single_node(_SMALL_MODEL, horizon=40)
-        _compare_backends(scenario, ThresholdStrategy(0.55), num_episodes=64, seed=9, trellis=True)
-
-    def test_trellis_profile_label(self):
-        scenario = _single_node(_SMALL_MODEL, horizon=20)
-        engine = BatchRecoveryEngine(scenario, backend="fused")
-        result = engine.run(ThresholdStrategy(0.5), num_episodes=32, seed=0, profile=True)
-        assert result.profile.backend == "fused+trellis"
+    @pytest.mark.parametrize("f", [None, 1], ids=["no-f", "f=1"])
+    @pytest.mark.parametrize("num_nodes", [1, 4, 5, 10])
+    @pytest.mark.parametrize(
+        "strategy", STRATEGY_CASES.values(), ids=STRATEGY_CASES.keys()
+    )
+    def test_run_equals_step_loop(self, strategy, num_nodes, f):
+        # N = 4 is the largest fleet on the rank path, N = 5 the smallest
+        # on the raw-uniform path.
+        assert fused_module._MAX_RANK_NODES == 4
+        scenario = FleetScenario.homogeneous(
+            _params(), _OBSERVATION_MODEL, num_nodes=num_nodes, horizon=30, f=f
+        )
+        result = _assert_run_matches_step_loop(
+            scenario, strategy, num_episodes=16, seed=21
+        )
+        assert (result.availability is None) == (f is None)
 
 
 class TestRankTables:
@@ -278,7 +276,7 @@ class TestRankTables:
         assert np.array_equal(out, np.searchsorted(merged, u, side="right"))
 
     def test_rank_cache_memoizes_by_buffer_identity(self):
-        engine = BatchRecoveryEngine(_single_node(), backend="fused")
+        engine = BatchRecoveryEngine(_single_node())
         kernel = engine._kernel
         uniforms = engine.draw_uniforms(0, 16)
         first = kernel._uniform_ranks(uniforms)
@@ -292,7 +290,7 @@ class TestRankTables:
         assert len(kernel._rank_cache) <= 4
 
     def test_uniform_ranks_values(self):
-        engine = BatchRecoveryEngine(_single_node(), backend="fused")
+        engine = BatchRecoveryEngine(_single_node())
         kernel = engine._kernel
         uniforms = engine.draw_uniforms(1, 4)
         num_episodes, num_nodes, width = uniforms.shape
@@ -304,80 +302,13 @@ class TestRankTables:
             assert np.array_equal(ranks[:, row, 0], expected.reshape(ut.shape))
 
 
-class TestNumbaToleranceTier:
-    """The numba backend's semantics, run as pure Python (force_python)."""
-
-    def _run(self, scenario, strategy, num_episodes=64, seed=4):
-        engine = BatchRecoveryEngine(scenario, backend="fused")
-        kernel = NumbaKernel(engine, force_python=True)
-        strategies = engine._normalize_strategies(strategy)
-        uniforms = engine.draw_uniforms(seed, num_episodes)
-        return kernel, kernel.simulate(strategies, uniforms)
-
-    def test_tier_is_versioned(self):
-        assert NUMBA_TOLERANCE_TIER["version"] == 1
-        assert NUMBA_TOLERANCE_TIER["determinism"] == "bitwise"
-
-    def test_statistics_within_tolerance(self):
-        scenario = _single_node(horizon=60)
-        strategy = ThresholdStrategy(0.6)
-        _, numba_result = self._run(scenario, strategy)
-        reference = BatchRecoveryEngine(scenario, backend="reference").run(
-            strategy, num_episodes=64, seed=4
-        )
-        for name in ("average_cost", "time_to_recovery", "recovery_frequency"):
-            np.testing.assert_allclose(
-                getattr(numba_result, name).mean(),
-                getattr(reference, name).mean(),
-                atol=NUMBA_TOLERANCE_TIER["stat_atol"],
-                rtol=NUMBA_TOLERANCE_TIER["stat_rtol"],
-            )
-
-    def test_same_seed_determinism_is_bitwise(self):
-        scenario = _single_node(horizon=40)
-        strategy = ThresholdStrategy(0.6)
-        _, first = self._run(scenario, strategy)
-        _, second = self._run(scenario, strategy)
-        _assert_results_equal(first, second)
-
-    def test_inexpressible_strategy_uses_fused_path(self):
-        """A per-episode threshold matrix cannot enter the JIT loop."""
-        scenario = _single_node(horizon=30)
-        rng = np.random.default_rng(8)
-        strategy = BatchMultiThreshold(rng.uniform(0.2, 0.9, size=(32, 2)))
-        engine = BatchRecoveryEngine(scenario, backend="fused")
-        kernel = NumbaKernel(engine, force_python=True)
-        result = kernel.simulate(
-            engine._normalize_strategies(strategy), engine.draw_uniforms(1, 32)
-        )
-        reference = BatchRecoveryEngine(scenario, backend="reference").run(
-            strategy, num_episodes=32, seed=1
-        )
-        _assert_results_equal(reference, result)  # fused fallback: bit-exact
-
-    def test_profile_records_jit_loop_phase(self):
-        scenario = _single_node(horizon=20)
-        engine = BatchRecoveryEngine(scenario, backend="fused")
-        kernel = NumbaKernel(engine, force_python=True)
-        profile = EngineProfile()
-        kernel.simulate(
-            engine._normalize_strategies(ThresholdStrategy(0.6)),
-            engine.draw_uniforms(0, 16),
-            profile=profile,
-        )
-        assert profile.backend == "numba(python)"
-        assert profile.nanos["jit_loop"] > 0
-        assert profile.steps == 20
-
-
 class TestObservability:
     def test_run_profile_collects_phases(self):
-        engine = BatchRecoveryEngine(_single_node(), backend="fused")
+        engine = BatchRecoveryEngine(_single_node())
         result = engine.run(ThresholdStrategy(0.6), num_episodes=32, seed=0, profile=True)
         profile = result.profile
         assert profile is not None
         assert profile.steps == 40
-        assert profile.backend.startswith("fused")
         for phase in ("strategy", "transition_sample", "observation_draw", "belief_update"):
             assert profile.nanos[phase] > 0
         assert profile.total_ns == sum(ns for _, ns in profile.nanos.items())
@@ -387,12 +318,12 @@ class TestObservability:
         )
 
     def test_unprofiled_run_has_no_profile(self):
-        engine = BatchRecoveryEngine(_single_node(), backend="fused")
+        engine = BatchRecoveryEngine(_single_node())
         result = engine.run(ThresholdStrategy(0.6), num_episodes=8, seed=0)
         assert result.profile is None
 
     def test_begin_allocates_belief_workspace(self):
-        engine = BatchRecoveryEngine(_single_node(), backend="fused")
+        engine = BatchRecoveryEngine(_single_node())
         sim = engine.begin(num_episodes=12, seed=0)
         workspace = sim.belief_workspace
         assert isinstance(workspace, dict) and workspace
@@ -400,14 +331,14 @@ class TestObservability:
             assert array.shape[-1] == 12 or array.shape[0] == 12
 
     def test_stepwise_profile(self):
-        engine = BatchRecoveryEngine(_single_node(), backend="fused")
+        engine = BatchRecoveryEngine(_single_node())
         sim = engine.begin(num_episodes=8, seed=0, profile=True)
         engine.step(sim, np.zeros((8, 1), dtype=bool))
         assert sim.profile is not None
         assert sim.profile.nanos["belief_update"] > 0
 
     def test_uniforms_memoized_per_seed(self):
-        engine = BatchRecoveryEngine(_single_node(), backend="fused")
+        engine = BatchRecoveryEngine(_single_node())
         first = engine.draw_uniforms(0, 16)
         assert engine.draw_uniforms(0, 16) is first
         assert not first.flags.writeable

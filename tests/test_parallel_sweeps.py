@@ -323,15 +323,14 @@ class TestSweepParity:
 
 
 class TestEngineProfileMerge:
-    def test_merge_sums_phases_steps_and_keeps_backend(self):
-        a = EngineProfile(nanos={"strategy": 5, "belief_update": 7}, steps=3, backend="fused")
-        b = EngineProfile(nanos={"strategy": 2, "trellis": 11}, steps=4)
+    def test_merge_sums_phases_and_steps(self):
+        a = EngineProfile(nanos={"strategy": 5, "belief_update": 7}, steps=3)
+        b = EngineProfile(nanos={"strategy": 2, "custom_phase": 11}, steps=4)
         merged = EngineProfile.merge(a, None, b)
         assert merged.nanos["strategy"] == 7
         assert merged.nanos["belief_update"] == 7
-        assert merged.nanos["trellis"] == 11
+        assert merged.nanos["custom_phase"] == 11
         assert merged.steps == 7
-        assert merged.backend == "fused"
 
     def test_merge_of_nothing_is_empty(self):
         merged = EngineProfile.merge()
