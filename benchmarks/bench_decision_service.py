@@ -13,11 +13,12 @@ sustains end to end:
   advance *every* connected fleet by one tick, the number an operator
   would put an SLO on;
 * **batching speedup** — the cross-fleet fused dispatch
-  (``DecisionService(coalesce=True)``: one engine call per tick for the
-  whole cohort) against the per-fleet serial baseline
-  (``coalesce=False``: one engine call per fleet per tick).  Fused must
-  be **strictly faster** — that is the reason the cohort machinery
-  exists, and this module asserts it;
+  (``DecisionService(coalesce=True)``: one engine call and, the fleets
+  sharing one control configuration, one control-plane loop step per
+  tick for the whole cohort) against the per-fleet serial baseline
+  (``coalesce=False``: one engine call and one loop step per fleet per
+  tick).  Fused must be **strictly faster** — that is the reason the
+  cohort machinery exists, and this module asserts it;
 * **bit-parity under load** — both dispatch modes must replay a direct
   ``TwoLevelController.run`` on the same seed tree field for field
   (spot-checked per fleet here; exhaustively pinned in
@@ -91,7 +92,10 @@ def _controller(scenario: FleetScenario) -> TwoLevelController:
 
 
 def _soak(scenario: FleetScenario, coalesce: bool):
-    """Run every fleet to the horizon; return (results, tick_seconds, calls)."""
+    """Run every fleet to the horizon.
+
+    Returns ``(results, tick_seconds, engine_calls, control_steps)``.
+    """
     service = DecisionService(coalesce=coalesce)
     sessions = [
         service.register_controller(_controller(scenario), seed=fleet)
@@ -104,7 +108,12 @@ def _soak(scenario: FleetScenario, coalesce: bool):
             service.tick(sid)
         tick_seconds.append(time.perf_counter() - start)
     results = {sid: service.result(sid) for sid in sessions}
-    return results, np.asarray(tick_seconds), service.engine_calls
+    return (
+        results,
+        np.asarray(tick_seconds),
+        service.engine_calls,
+        service.control_steps,
+    )
 
 
 def _assert_bit_exact(ours, theirs, context: str) -> None:
@@ -119,13 +128,22 @@ def test_decision_service_soak(table_printer):
     node_streams = NUM_FLEETS * EPISODES_PER_FLEET * NODES_PER_FLEET
     decisions = node_streams * HORIZON
 
-    fused_results, fused_ticks, fused_calls = _soak(scenario, coalesce=True)
-    serial_results, serial_ticks, serial_calls = _soak(scenario, coalesce=False)
+    fused_results, fused_ticks, fused_calls, fused_steps = _soak(
+        scenario, coalesce=True
+    )
+    serial_results, serial_ticks, serial_calls, serial_steps = _soak(
+        scenario, coalesce=False
+    )
 
     # Dispatch accounting: one fused engine call per tick for the whole
     # cohort vs one call per fleet per tick for the serial baseline.
     assert fused_calls == HORIZON
     assert serial_calls == NUM_FLEETS * HORIZON
+    # Control-plane accounting: every fleet shares one control
+    # configuration, so the cohort is one control group — one loop step
+    # per tick — against one loop step per fleet per tick serially.
+    assert fused_steps == HORIZON
+    assert serial_steps == NUM_FLEETS * HORIZON
 
     # Bit-parity between the two dispatch modes, every fleet.
     for (sid_f, ours), (sid_s, theirs) in zip(

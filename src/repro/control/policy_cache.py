@@ -37,12 +37,14 @@ The cache is **thread-safe**: every lookup, insertion, LRU move/eviction,
 counter update and invalidation happens under one reentrant lock, so the
 decision service (:mod:`repro.serve`) can serve policy solves for
 concurrently registering sessions from the process-wide
-:data:`DEFAULT_POLICY_CACHE`.  The lock is held *across* a miss's
-``solve()`` call, which makes misses single-flight: two threads racing on
-the same fitted model run the LP once and the loser gets a hit — never two
-concurrent solves of one kernel.  (``tests/test_parallel_sweeps.py``
-hammers the cache from many threads and asserts the counters stay
-consistent; the test fails on the unlocked implementation.)
+:data:`DEFAULT_POLICY_CACHE`.  Misses are **single-flight per key**: the
+first thread to miss a key registers an in-flight event for it and runs
+``solve()`` *outside* the lock; threads missing the same key wait on that
+event and then read the stored outcome as a hit — never two concurrent
+solves of one kernel — while lookups of every other key proceed, so a
+slow LP for one model never blocks a hit for another.
+(``tests/test_parallel_sweeps.py`` stampedes and hammers the cache from
+many threads and asserts the counters stay consistent.)
 """
 
 from __future__ import annotations
@@ -96,6 +98,8 @@ class PolicySolveCache:
         self.maxsize = int(maxsize)
         self._entries: OrderedDict[tuple, object] = OrderedDict()
         self._lock = threading.RLock()
+        #: Keys being solved right now, each with the event its waiters block on.
+        self._inflight: dict[tuple, threading.Event] = {}
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -114,26 +118,43 @@ class PolicySolveCache:
         infeasibility signal) is cached and re-raised on subsequent hits,
         so infeasible refits stop re-running the bisection.
 
-        The lock is held across a miss's ``solve()`` call (single-flight):
-        concurrent misses on the same key run the solver exactly once.
+        Single-flight per key: concurrent misses on the same key run the
+        solver exactly once (the others wait, then hit), and ``solve()``
+        runs without the cache lock, so other keys stay servable.
         """
         key = fitted_model_key(model, solver, **params)
-        with self._lock:
-            if key in self._entries:
-                self.hits += 1
-                self._entries.move_to_end(key)
-                outcome = self._entries[key]
-                if isinstance(outcome, tuple) and outcome[:1] == (_INFEASIBLE,):
-                    raise ValueError(outcome[1])
-                return outcome
-            self.misses += 1
-            try:
-                outcome = solve()
-            except ValueError as error:
+        while True:
+            with self._lock:
+                if key in self._entries:
+                    self.hits += 1
+                    self._entries.move_to_end(key)
+                    outcome = self._entries[key]
+                    if isinstance(outcome, tuple) and outcome[:1] == (_INFEASIBLE,):
+                        raise ValueError(outcome[1])
+                    return outcome
+                flight = self._inflight.get(key)
+                if flight is None:
+                    flight = self._inflight[key] = threading.Event()
+                    self.misses += 1
+                    break
+            # Another thread is solving this key: wait, then look again
+            # (a hit, unless its solve raised something other than
+            # ValueError and stored nothing).
+            flight.wait()
+        try:
+            outcome = solve()
+        except ValueError as error:
+            with self._lock:
                 self._store(key, (_INFEASIBLE, str(error)))
-                raise
-            self._store(key, outcome)
+            raise
+        else:
+            with self._lock:
+                self._store(key, outcome)
             return outcome
+        finally:
+            with self._lock:
+                del self._inflight[key]
+            flight.set()
 
     def _store(self, key: tuple, outcome: object) -> None:
         self._entries[key] = outcome

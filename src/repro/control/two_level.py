@@ -52,7 +52,7 @@ is the control-plane speedup asserted in the Table 7 closed-loop benchmark.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -273,6 +273,13 @@ class _DecisionTrace:
     add_classes: list = field(default_factory=list)
 
 
+def _is_value(strategy: object) -> bool:
+    """Whether ``strategy`` compares by value: ``None`` or a frozen dataclass."""
+    return strategy is None or (
+        is_dataclass(strategy) and type(strategy).__dataclass_params__.frozen
+    )
+
+
 class TwoLevelLoop:
     """Incremental executor of the batched two-level loop, one tick at a time.
 
@@ -286,8 +293,10 @@ class TwoLevelLoop:
       its own :class:`~repro.envs.VectorRecoveryEnv` (one fleet batch per
       engine call);
     * the decision service (:mod:`repro.serve`) drives one loop per
-      connected fleet around a **shared** engine step, fusing the belief
-      updates of every session in a cohort into a single kernel call.
+      *control group* — the sessions of a cohort whose
+      :meth:`TwoLevelController.control_key` is equal — over the group's
+      concatenated episode axis, around an engine step shared by the
+      whole cohort.
 
     Both drivers execute the identical per-tick arithmetic, which is what
     makes service decisions bit-identical to a direct
@@ -302,6 +311,11 @@ class TwoLevelLoop:
 
     where ``observation'`` is the post-step observation and ``info``
     carries the step's ``crashed``/``failed_mask`` arrays.
+
+    The loop's batch size is ``system.num_episodes``, which may exceed
+    ``controller.num_envs``: every per-tick operation is row-wise, so one
+    loop can step several same-configuration fleets stacked along the
+    episode axis.
     """
 
     def __init__(
@@ -313,7 +327,7 @@ class TwoLevelLoop:
         self.controller = controller
         self.system = system
         self.policy_rng = policy_rng
-        batch, slots = controller.num_envs, controller.smax
+        batch, slots = system.num_episodes, controller.smax
         self.t = 0
         self.active = np.zeros((batch, slots), dtype=bool)
         self.active[:, : controller.initial_nodes] = True
@@ -454,7 +468,7 @@ class TwoLevelLoop:
             self.trace.add_classes.append(
                 decision.add_class
                 if decision.add_class is not None
-                else np.full(controller.num_envs, -1, dtype=np.int64)
+                else np.full(active.shape[0], -1, dtype=np.int64)
             )
         if self._record:
             self._states_t.append(decision.state)
@@ -645,6 +659,44 @@ class TwoLevelController:
     def horizon(self) -> int:
         return self.scenario.horizon
 
+    def control_key(self) -> tuple | None:
+        """Hashable value of everything :class:`TwoLevelLoop` reads off this controller.
+
+        Two controllers on one scenario with equal keys run the identical
+        row-wise per-tick arithmetic, so the decision service steps their
+        episodes as one loop.  The key holds the recovery strategies, the
+        replication strategy (both compared by value, so they must be
+        frozen dataclasses), ``f``, ``k``, ``smax``, ``initial_nodes`` and
+        the two limit flags.  ``None`` — the controller shares its loop
+        with no other — when a policy is not a value (a custom
+        :class:`~repro.envs.policies.VectorPolicy`, an unhashable or
+        mutable strategy) or when a trace is recorded.
+        """
+        if self.record_system_trace or self.record_decisions:
+            return None
+        policy = self.recovery_policy
+        if type(policy) is not StrategyPolicy:
+            return None
+        strategies = policy.strategies
+        members = strategies if isinstance(strategies, tuple) else (strategies,)
+        if not all(map(_is_value, (*members, self.replication_strategy))):
+            return None
+        key = (
+            strategies,
+            self.replication_strategy,
+            self.f,
+            self.k,
+            self.smax,
+            self.initial_nodes,
+            self.enforce_invariant,
+            self.respect_recovery_limit,
+        )
+        try:
+            hash(key)
+        except TypeError:
+            return None
+        return key
+
     # -- seed tree ----------------------------------------------------------------
     def _system_seed_sequences(
         self, seed: int | None
@@ -735,6 +787,7 @@ class TwoLevelController:
         seed: int | None = None,
         policy_rng: np.random.Generator | None = None,
         system_seed_sequences: Sequence[np.random.SeedSequence] | None = None,
+        num_episodes: int | None = None,
     ) -> TwoLevelLoop:
         """Create the incremental per-tick executor of this controller's loop.
 
@@ -744,6 +797,11 @@ class TwoLevelController:
         sessions.  The system-controller seed sequences follow the same
         convention as :meth:`run` (tail children of the shared episode seed
         tree unless given explicitly).
+
+        ``num_episodes`` (default :attr:`num_envs`) sizes the loop for a
+        control group: the decision service stacks the episodes of every
+        session with an equal :meth:`control_key` into one loop and passes
+        the concatenation of their seed sequences.
         """
         system = VectorSystemController(
             f=self.f,
@@ -751,7 +809,7 @@ class TwoLevelController:
             strategy=self.replication_strategy,
             smax=self.smax,
             enforce_invariant=self.enforce_invariant,
-            num_episodes=self.num_envs,
+            num_episodes=self.num_envs if num_episodes is None else num_episodes,
             horizon=self.horizon,
             seed_sequences=(
                 system_seed_sequences

@@ -73,6 +73,13 @@ class StrategyPolicy:
         """
         return cls([factory(f"slot-{j}") for j in range(num_nodes)])
 
+    @property
+    def strategies(self) -> BatchStrategy | tuple[BatchStrategy, ...]:
+        """The shared batched strategy, or the tuple of per-slot ones."""
+        if self._per_node is not None:
+            return tuple(self._per_node)
+        return self._shared
+
     def _strategy_for(self, node: int) -> BatchStrategy:
         if self._per_node is not None:
             if node >= len(self._per_node):

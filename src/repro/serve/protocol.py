@@ -30,8 +30,8 @@ Operations
     Detach a session (its episode rows keep stepping inside a fused
     cohort; no further events are buffered).
 ``stats``
-    Service counters: sessions, cohorts, fused engine calls, decisions
-    and the policy-cache counters.
+    Service counters: sessions, cohorts, fused engine calls, control-group
+    steps, decisions and the policy-cache counters.
 ``shutdown``
     Stop the server after answering.
 
@@ -59,6 +59,8 @@ decisions taken rather than the fleet size:
 
 from __future__ import annotations
 
+import math
+from numbers import Integral, Real
 from typing import Any, Mapping
 
 import numpy as np
@@ -69,6 +71,8 @@ __all__ = [
     "ServiceError",
     "encode_event",
     "error_response",
+    "integer_field",
+    "number_field",
     "ok_response",
     "validate_request",
 ]
@@ -135,6 +139,35 @@ def validate_request(request: Any) -> dict[str, Any]:
     return dict(request)
 
 
+def integer_field(value: Any, name: str, minimum: int | None = None) -> int:
+    """``value`` as an ``int``, or a ``bad-request`` naming the field.
+
+    Accepts integers and integral floats (``5.0``); booleans, strings,
+    lists and ``null`` are rejected, as are values below ``minimum``.
+    """
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ServiceError(
+            "bad-request", f"{name} must be an integer, got {value!r}"
+        )
+    value = int(value)
+    if minimum is not None and value < minimum:
+        raise ServiceError(
+            "bad-request", f"{name} must be >= {minimum}, got {value}"
+        )
+    return value
+
+
+def number_field(value: Any, name: str) -> float:
+    """``value`` as a finite ``float``, or a ``bad-request`` naming the field."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+        raise ServiceError(
+            "bad-request", f"{name} must be a finite number, got {value!r}"
+        )
+    return float(value)
+
+
 def ok_response(op: str, **payload: Any) -> dict[str, Any]:
     """An ``ok: true`` response envelope for ``op``."""
     return {"schema": DECISION_SCHEMA, "op": op, "ok": True, **payload}
@@ -151,8 +184,16 @@ def error_response(op: str | None, error: ServiceError) -> dict[str, Any]:
 
 
 def _slot_lists(mask: np.ndarray) -> list[list[int]]:
-    """Per-episode slot-index lists of a boolean ``(B, S)`` mask."""
-    return [[int(j) for j in np.flatnonzero(row)] for row in mask]
+    """Per-episode slot-index lists of a boolean ``(B, S)`` mask.
+
+    One ``np.nonzero`` for the whole mask; the set entries are few, so a
+    Python pass over them is cheaper than any per-row NumPy call.
+    """
+    rows, slots = np.nonzero(mask)
+    lists: list[list[int]] = [[] for _ in range(mask.shape[0])]
+    for row, slot in zip(rows.tolist(), slots.tolist()):
+        lists[row].append(slot)
+    return lists
 
 
 def encode_event(event) -> dict[str, Any]:
@@ -160,24 +201,22 @@ def encode_event(event) -> dict[str, Any]:
 
     Recoveries and evictions are sparse slot-index lists; the system-level
     decision contributes its CMDP state, add/emergency flags and the chosen
-    container class (``-1`` for classless strategies / no add).
+    container class (``-1`` for classless strategies / no add).  Every
+    field is converted with one ``tolist`` — no per-episode NumPy calls.
     """
     decision = event.decision
-    batch = event.active.shape[0]
-    add_class = (
-        decision.add_class
-        if decision.add_class is not None
-        else np.full(batch, -1, dtype=np.int64)
-    )
+    add_class = decision.add_class
     return {
         "t": int(event.t),
         "recoveries": _slot_lists(event.executed_recoveries),
         "evicted": _slot_lists(event.crashed),
-        "added": [int(j) for j in event.activated],
-        "add": [bool(a) for a in decision.add_node],
-        "emergency": [bool(e) for e in decision.emergency_add],
-        "add_class": [int(c) for c in add_class],
-        "state": [int(s) for s in decision.state],
-        "node_counts": [int(n) for n in event.active.sum(axis=1)],
-        "available": [bool(a) for a in event.available],
+        "added": event.activated.tolist(),
+        "add": decision.add_node.tolist(),
+        "emergency": decision.emergency_add.tolist(),
+        "add_class": (
+            [-1] * event.active.shape[0] if add_class is None else add_class.tolist()
+        ),
+        "state": decision.state.tolist(),
+        "node_counts": event.active.sum(axis=1).tolist(),
+        "available": event.available.tolist(),
     }

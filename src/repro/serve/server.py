@@ -32,6 +32,7 @@ from .protocol import (
     ServiceError,
     encode_event,
     error_response,
+    integer_field,
     ok_response,
     validate_request,
 )
@@ -136,7 +137,8 @@ class DecisionServer(socketserver.ThreadingTCPServer):
             return ok_response(op, **payload)
         if op == "tick":
             events = service.tick(
-                self._session_of(request), count=int(request.get("count", 1))
+                self._session_of(request),
+                count=integer_field(request.get("count", 1), "count", minimum=1),
             )
             return ok_response(op, events=[encode_event(e) for e in events])
         if op == "result":

@@ -1,4 +1,4 @@
-"""In-process decision service fusing connected fleets into batched kernel calls.
+"""In-process decision service fusing connected fleets into batched ticks.
 
 :class:`DecisionService` is the long-running counterpart of one-shot
 :meth:`~repro.control.TwoLevelController.run` calls: sessions register a
@@ -11,30 +11,45 @@ Cross-fleet batching
 
 Sessions whose scenarios compile to the same engine tables (identical
 scenario mapping) and that register before their cohort takes its first
-tick are **fused**: their per-session uniform buffers —
-``engine.draw_uniforms(seed_i, B_i)``, episode-major children of
-``SeedSequence(seed_i)`` — are concatenated along the episode axis into a
-single :class:`~repro.sim.engine.BatchEpisodeState`, and every tick runs
-ONE fused ``engine.step`` for the whole cohort instead of one call per
-fleet.  Engine episode rows are mutually independent (the same property
-the sharded sweeps of :mod:`repro.control.parallel` replay shards with),
-so the fused step is **bit-identical** to stepping each session's batch
-separately — which in turn is exactly what a direct
-``TwoLevelController.run(seed=seed_i)`` executes.  The parity is asserted,
-not assumed, in ``tests/test_decision_service.py``.
+tick are **fused** into a cohort.  Inside a cohort, sessions whose control
+configuration is equal — :meth:`~repro.control.TwoLevelController.control_key`:
+the recovery and replication strategies compared by value, ``f``, ``k``,
+``smax``, ``initial_nodes`` and the two limit flags — form a **control
+group**.  A session whose configuration cannot be compared (a custom
+policy, an unhashable strategy, a recorded trace) is a group of one, run
+by the same code.
 
-Each session keeps its *own* :class:`~repro.control.TwoLevelLoop` (its own
-recovery policy, replication strategy and per-episode system-controller
-seed streams from the tail of ``SeedSequence(seed_i)``): fusion happens at
-the engine level only, so heterogeneous control policies coexist in one
-cohort as long as the fleet dynamics match.
+At the cohort's first tick (its *seal*) every group gets a contiguous
+block of engine rows and every member a contiguous block ``[lo, hi)`` of
+its group's rows.  The per-session uniform buffers —
+``engine.draw_uniforms(seed_i, B_i)``, episode-major children of
+``SeedSequence(seed_i)`` — are concatenated in that row order into one
+:class:`~repro.sim.engine.BatchEpisodeState`, and each group gets ONE
+:class:`~repro.control.TwoLevelLoop` over its members' stacked episodes,
+whose system controller holds the concatenation of every member's
+per-episode seed sequences (the tail children of ``SeedSequence(seed_i)``).
+One tick is then one ``pre_step`` per group, ONE fused ``engine.step``
+for the cohort and one ``post_step`` per group.
+
+Every engine row and every control row is independent of the others (the
+CMDP state, the Prop. 1c grant and the slot activation are all row-wise,
+the same property the sharded sweeps of :mod:`repro.control.parallel`
+replay shards with), so each session's rows replay a direct
+``TwoLevelController.run(seed=seed_i)`` **bit for bit**.  A session owns
+its row slice of the group's events and accumulators: it receives views
+``[lo, hi)`` of every group event, and :meth:`DecisionService.result`
+returns the row slice of the group loop's result, per-class metrics of
+mixed fleets and the cohort's shared engine profile included.  The parity
+is asserted, not assumed, in ``tests/test_decision_service.py`` and
+``tests/test_service_control_groups.py``.
 
 A tick request from *any* session advances its whole cohort one fused
 step; the other sessions' events are buffered and delivered when they ask.
 Sessions may therefore tick at different paces without blocking each
 other, and a single-threaded client driving many sessions never
-deadlocks.  Once every member of a cohort has closed, the service drops
-the cohort and with it the fused state and its uniform buffer.
+deadlocks.  When the cohort reaches its horizon it drops its engine state
+(the ``(B, N, 2T)`` uniform buffer included) and keeps only the group
+loops; once every member has closed, the service drops the cohort.
 
 Policy solves (the LP replication route of ``replication: {type: lp}``)
 are served from the process-wide, thread-safe
@@ -49,12 +64,14 @@ import itertools
 import json
 import threading
 from collections import deque
+from dataclasses import replace
 from typing import Any, Mapping
 
 import numpy as np
 
 from ..control.policy_cache import DEFAULT_POLICY_CACHE, PolicySolveCache
 from ..control.two_level import TwoLevelController, TwoLevelLoop, TwoLevelResult, TwoLevelStepEvent
+from ..control.vector_system import VectorSystemDecision
 from ..envs.base import VectorObservation
 from ..sim import BatchRecoveryEngine, FleetScenario
 from ..sim.scenario_io import (
@@ -63,7 +80,7 @@ from ..sim.scenario_io import (
     scenario_from_mapping,
     scenario_to_mapping,
 )
-from .protocol import ServiceError
+from .protocol import ServiceError, integer_field, number_field
 
 __all__ = ["DecisionService", "build_session_controller"]
 
@@ -116,19 +133,23 @@ def build_session_controller(
             f"the decision service runs the closed-loop mode only, got "
             f"mode {mode!r}",
         )
-    episodes = int(run.get("episodes", 100))
-    if episodes < 1:
-        raise ServiceError(
-            "bad-request", f"episodes must be >= 1, got {episodes}"
+    episodes = integer_field(run.get("episodes", 100), "episodes", minimum=1)
+    seed = _check_seed(run.get("seed", 0))
+    try:
+        recovery = ThresholdStrategy(
+            number_field(run.get("threshold", 0.75), "threshold")
         )
-    seed = run.get("seed", 0)
-    seed = None if seed is None else int(seed)
-    threshold = float(run.get("threshold", 0.75))
-    recovery = ThresholdStrategy(threshold)
+    except ValueError as exc:
+        raise ServiceError("bad-request", str(exc)) from exc
+    beta = integer_field(run.get("beta", 1), "beta")
+    k = integer_field(run.get("k", 1), "k")
+    initial_nodes = run.get("initial_nodes")
+    if initial_nodes is not None:
+        initial_nodes = integer_field(initial_nodes, "initial_nodes")
 
     replication_spec = run.get("replication")
     if replication_spec is None:
-        replication_spec = {"type": "threshold", "beta": int(run.get("beta", 1))}
+        replication_spec = {"type": "threshold", "beta": beta}
     if not isinstance(replication_spec, Mapping) or "type" not in replication_spec:
         raise ServiceError(
             "bad-request",
@@ -138,14 +159,20 @@ def build_session_controller(
     kind = replication_spec["type"]
     if kind == "threshold":
         replication = ReplicationThresholdStrategy(
-            int(replication_spec.get("beta", run.get("beta", 1)))
+            integer_field(replication_spec.get("beta", beta), "replication.beta")
         )
     elif kind == "lp":
         replication = _solve_lp_replication(
             scenario,
             recovery,
-            fit_episodes=int(replication_spec.get("fit_episodes", 50)),
-            epsilon_a=float(replication_spec.get("epsilon_a", 0.9)),
+            fit_episodes=integer_field(
+                replication_spec.get("fit_episodes", 50),
+                "replication.fit_episodes",
+                minimum=1,
+            ),
+            epsilon_a=number_field(
+                replication_spec.get("epsilon_a", 0.9), "replication.epsilon_a"
+            ),
             seed=seed,
             policy_cache=policy_cache,
         )
@@ -161,17 +188,24 @@ def build_session_controller(
             num_envs=episodes,
             recovery_policy=recovery,
             replication_strategy=replication,
-            initial_nodes=(
-                None
-                if run.get("initial_nodes") is None
-                else int(run["initial_nodes"])
-            ),
-            k=int(run.get("k", 1)),
+            initial_nodes=initial_nodes,
+            k=k,
             engine=engine,
         )
     except ValueError as exc:
         raise ServiceError("invalid-scenario", str(exc)) from exc
     return controller, seed
+
+
+def _check_seed(seed: Any) -> int | None:
+    """A session seed: a non-negative integer or ``None`` (fresh entropy).
+
+    Checked at register time: a seed ``SeedSequence`` rejects would
+    otherwise fail at the cohort's seal and take every member down.
+    """
+    if seed is None:
+        return None
+    return integer_field(seed, "seed", minimum=0)
 
 
 def _solve_lp_replication(
@@ -196,7 +230,10 @@ def _solve_lp_replication(
     cache = policy_cache if policy_cache is not None else DEFAULT_POLICY_CACHE
     fit_env = FleetVectorEnv(scenario, fit_episodes)
     rollout(fit_env, StrategyPolicy(recovery), seed=seed)
-    model = fit_system_model_from_env(fit_env, epsilon_a=epsilon_a)
+    try:
+        model = fit_system_model_from_env(fit_env, epsilon_a=epsilon_a)
+    except ValueError as exc:
+        raise ServiceError("invalid-scenario", str(exc)) from exc
     solution = cache.solve_lp(model)
     if not solution.feasible:
         raise ServiceError(
@@ -208,33 +245,127 @@ def _solve_lp_replication(
 
 
 class _Session:
-    """One registered fleet: its loop, its episode slice, its event buffer."""
+    """One registered fleet: its control group, its episode rows, its event buffer."""
 
     def __init__(
-        self,
-        session_id: str,
-        controller: TwoLevelController,
-        loop: TwoLevelLoop,
-        seed: int | None,
+        self, session_id: str, controller: TwoLevelController, seed: int | None
     ) -> None:
         self.id = session_id
         self.controller = controller
-        self.loop = loop
         self.seed = seed
-        self.lo = 0
-        self.hi = 0
+        #: The session's rows ``[lo, hi)`` of its control group's loop.
+        self.rows = slice(0, 0)
         #: Events produced by cohort advances this session has not consumed.
         self.events: deque[TwoLevelStepEvent] = deque()
         self.closed = False
         self.cohort: "_Cohort | None" = None
+        self.group: "_ControlGroup | None" = None
+
+
+class _ControlGroup:
+    """Sessions of one cohort with equal control configurations.
+
+    One :class:`TwoLevelLoop`, built at seal over the members' stacked
+    episodes, steps the whole group; member ``i`` owns its rows
+    ``[lo_i, hi_i)`` of the loop and of every event the loop emits.
+    """
+
+    def __init__(self) -> None:
+        self.sessions: list[_Session] = []
+        self.loop: TwoLevelLoop | None = None
+        #: The group's rows of the cohort's fused engine state.
+        self.rows = slice(0, 0)
+
+    def seal(self, lo: int) -> int:
+        """Assign rows from cohort row ``lo`` on and build the loop.
+
+        The loop's system controller receives the concatenation of every
+        member's per-episode seed sequences (the tail children of
+        ``SeedSequence(seed_i)``), so row ``lo_i + b`` draws exactly what
+        episode ``b`` of a direct ``run(seed=seed_i)`` draws.  Returns the
+        cohort row after the group's last.
+        """
+        offset = 0
+        for session in self.sessions:
+            num_envs = session.controller.num_envs
+            session.rows = slice(offset, offset + num_envs)
+            offset += num_envs
+        self.rows = slice(lo, lo + offset)
+        parts = [s.controller._system_seed_sequences(s.seed) for s in self.sessions]
+        sequences = (
+            None if parts[0] is None else [seq for part in parts for seq in part]
+        )
+        self.loop = self.sessions[0].controller.begin_loop(
+            system_seed_sequences=sequences, num_episodes=offset
+        )
+        return lo + offset
+
+
+def _event_rows(event: TwoLevelStepEvent, rows: slice) -> TwoLevelStepEvent:
+    """One session's rows of a control group's event (views, no copies)."""
+    decision = event.decision
+    return TwoLevelStepEvent(
+        t=event.t,
+        executed_recoveries=event.executed_recoveries[rows],
+        crashed=event.crashed[rows],
+        failed=event.failed[rows],
+        decision=VectorSystemDecision(
+            state=decision.state[rows],
+            add_node=decision.add_node[rows],
+            emergency_add=decision.emergency_add[rows],
+            evicted=decision.evicted[rows],
+            add_probability=decision.add_probability[rows],
+            capped=decision.capped[rows],
+            node_count_after_eviction=decision.node_count_after_eviction[rows],
+            add_class=(
+                None if decision.add_class is None else decision.add_class[rows]
+            ),
+            action_probabilities=(
+                None
+                if decision.action_probabilities is None
+                else decision.action_probabilities[rows]
+            ),
+        ),
+        activated=event.activated[rows],
+        active=event.active[rows],
+        available=event.available[rows],
+    )
+
+
+def _result_rows(result: TwoLevelResult, rows: slice) -> TwoLevelResult:
+    """One session's rows of a control group's result."""
+
+    def per_class(metric):
+        if metric is None:
+            return None
+        return {label: values[rows] for label, values in metric.items()}
+
+    return replace(
+        result,
+        availability=result.availability[rows],
+        average_nodes=result.average_nodes[rows],
+        average_cost=result.average_cost[rows],
+        recovery_frequency=result.recovery_frequency[rows],
+        additions=result.additions[rows],
+        emergency_additions=result.emergency_additions[rows],
+        evictions=result.evictions[rows],
+        class_average_cost=per_class(result.class_average_cost),
+        class_recovery_frequency=per_class(result.class_recovery_frequency),
+    )
 
 
 class _Cohort:
     """Sessions fused into one engine state; sealed at the first tick.
 
-    The cohort owns the fused :class:`BatchEpisodeState`; each member
-    session owns a contiguous episode slice ``[lo, hi)`` of it.  One
-    :meth:`advance` call executes one fused engine step for every member.
+    The cohort owns the fused :class:`BatchEpisodeState`.  Its members are
+    partitioned into control groups (equal
+    :meth:`~repro.control.TwoLevelController.control_key`); at seal each
+    group gets a contiguous block of engine rows and each member a
+    contiguous block of its group's rows.  One :meth:`advance` executes
+    one ``pre_step`` per group, ONE fused engine step and one
+    ``post_step`` per group.  At the horizon the engine state is dropped;
+    the group loops keep the accumulators :meth:`DecisionService.result`
+    reads.
     """
 
     def __init__(self, key: str, engine: BatchRecoveryEngine, profile: bool) -> None:
@@ -242,46 +373,61 @@ class _Cohort:
         self.engine = engine
         self.profile = profile
         self.sessions: list[_Session] = []
+        self.groups: list[_ControlGroup] = []
+        self._keyed: dict[tuple, _ControlGroup] = {}
+        self.sealed = False
+        self.t = 0
         self.sim = None
         self._forced: np.ndarray | None = None
-
-    @property
-    def sealed(self) -> bool:
-        return self.sim is not None
+        #: The fused state's engine profile, kept past the horizon.
+        self.engine_profile = None
 
     @property
     def num_episodes(self) -> int:
         return sum(s.controller.num_envs for s in self.sessions)
 
+    @property
+    def done(self) -> bool:
+        return self.t >= self.engine.scenario.horizon
+
     def add(self, session: _Session) -> None:
         if self.sealed:
             raise RuntimeError("cannot join a sealed cohort")
-        session.lo = self.num_episodes
-        session.hi = session.lo + session.controller.num_envs
+        key = session.controller.control_key()
+        group = self._keyed.get(key) if key is not None else None
+        if group is None:
+            group = _ControlGroup()
+            self.groups.append(group)
+            if key is not None:
+                self._keyed[key] = group
+        group.sessions.append(session)
+        session.group = group
         session.cohort = self
         self.sessions.append(session)
 
     def seal(self) -> None:
-        """Fuse the members' per-session uniform buffers into one state.
+        """Build the group loops and fuse the members' uniform buffers.
 
-        Session ``i``'s rows ``[lo_i, hi_i)`` of the fused buffers are
-        exactly ``engine.draw_uniforms(seed_i, B_i)`` — the buffer a direct
-        ``TwoLevelController.run(seed=seed_i)`` consumes — so every fused
-        row replays its standalone counterpart bit for bit.
+        Engine rows are laid out group by group, members in registration
+        order within a group.  Session ``i``'s rows of the fused buffers
+        are exactly ``engine.draw_uniforms(seed_i, B_i)`` — the buffer a
+        direct ``TwoLevelController.run(seed=seed_i)`` consumes — so every
+        fused row replays its standalone counterpart bit for bit.
         """
+        lo = 0
+        for group in self.groups:
+            lo = group.seal(lo)
+        members = [s for group in self.groups for s in group.sessions]
         engine = self.engine
         uniforms = np.concatenate(
-            [
-                engine.draw_uniforms(s.seed, s.controller.num_envs)
-                for s in self.sessions
-            ],
+            [engine.draw_uniforms(s.seed, s.controller.num_envs) for s in members],
             axis=0,
         )
         adversary_uniforms = None
         if engine.is_dynamic:
             buffers = [
                 engine.draw_adversary_uniforms(s.seed, s.controller.num_envs)
-                for s in self.sessions
+                for s in members
             ]
             if buffers[0] is not None:
                 adversary_uniforms = np.concatenate(buffers, axis=0)
@@ -290,18 +436,17 @@ class _Cohort:
             adversary_uniforms=adversary_uniforms,
             profile=self.profile,
         )
+        self.engine_profile = self.sim.profile
         self._forced = engine.forced_recoveries(self.sim)
-
-    @property
-    def done(self) -> bool:
-        return self.sealed and self.sim.t >= self.engine.scenario.horizon
+        self.sealed = True
 
     def advance(self) -> None:
-        """One fused tick: every member's pre_step, ONE engine step, post_step.
+        """One fused tick: per group pre_step, ONE engine step, per group post_step.
 
         Executes the identical per-tick arithmetic as
-        :meth:`TwoLevelController.run` on each session's slice — the belief
-        updates of the whole cohort land in a single fused kernel call.
+        :meth:`TwoLevelController.run` on every row — the belief updates of
+        the whole cohort land in a single fused kernel call, the control
+        plane in one call per group.
         """
         if not self.sealed:
             self.seal()
@@ -310,33 +455,42 @@ class _Cohort:
         sim, engine = self.sim, self.engine
         forced = self._forced
         masks = np.empty_like(forced)
-        for session in self.sessions:
-            lo, hi = session.lo, session.hi
-            observation = VectorObservation(
-                beliefs=sim.belief[lo:hi],
-                time_since_recovery=sim.time_since_recovery[lo:hi],
-                forced=forced[lo:hi],
-                active=session.loop.active,
+        for group in self.groups:
+            rows, loop = group.rows, group.loop
+            masks[rows] = loop.pre_step(
+                VectorObservation(
+                    beliefs=sim.belief[rows],
+                    time_since_recovery=sim.time_since_recovery[rows],
+                    forced=forced[rows],
+                    active=loop.active,
+                )
             )
-            masks[lo:hi] = session.loop.pre_step(observation)
         costs = engine.step(sim, masks | forced, btr_applied=True)
-        self._forced = engine.forced_recoveries(sim)
-        for session in self.sessions:
-            lo, hi = session.lo, session.hi
-            observation = VectorObservation(
-                beliefs=sim.belief[lo:hi],
-                time_since_recovery=sim.time_since_recovery[lo:hi],
-                forced=self._forced[lo:hi],
-                active=session.loop.active,
+        forced = self._forced = engine.forced_recoveries(sim)
+        for group in self.groups:
+            rows, loop = group.rows, group.loop
+            event = loop.post_step(
+                VectorObservation(
+                    beliefs=sim.belief[rows],
+                    time_since_recovery=sim.time_since_recovery[rows],
+                    forced=forced[rows],
+                    active=loop.active,
+                ),
+                costs[rows],
+                {
+                    "t": sim.t,
+                    "crashed": sim.last_crashed[rows],
+                    "failed_mask": sim.last_failed_mask[rows],
+                },
             )
-            info = {
-                "t": sim.t,
-                "crashed": sim.last_crashed[lo:hi],
-                "failed_mask": sim.last_failed_mask[lo:hi],
-            }
-            event = session.loop.post_step(observation, costs[lo:hi], info)
-            if not session.closed:
-                session.events.append(event)
+            for session in group.sessions:
+                if not session.closed:
+                    session.events.append(_event_rows(event, session.rows))
+        self.t += 1
+        if self.done:
+            # Free the fused state and its (B, N, 2T) uniform buffer; the
+            # group loops hold everything result() needs.
+            self.sim = self._forced = None
 
 
 class DecisionService:
@@ -376,6 +530,8 @@ class DecisionService:
         self._open_cohorts: dict[str, _Cohort] = {}
         self._cohorts: list[_Cohort] = []
         self.engine_calls = 0
+        #: Control-plane loop ticks: one per control group per cohort advance.
+        self.control_steps = 0
         self.node_decisions = 0
         self.ticks_served = 0
 
@@ -394,6 +550,7 @@ class DecisionService:
         decisions replay ``controller.run(seed=seed)`` bit for bit.
         Returns the session id.
         """
+        seed = _check_seed(seed)
         with self._lock:
             engine = controller.env.engine
             if engine.is_dynamic and seed is None:
@@ -402,12 +559,7 @@ class DecisionService:
                 seed = resolve_adversary_entropy(None)
             key = self._scenario_key(controller.scenario)
             self._engines.setdefault(key, engine)
-            session = _Session(
-                session_id=f"s{next(self._ids)}",
-                controller=controller,
-                loop=controller.begin_loop(seed=seed),
-                seed=seed,
-            )
+            session = _Session(f"s{next(self._ids)}", controller, seed)
             cohort = self._open_cohorts.get(key) if self.coalesce else None
             if cohort is None or cohort.sealed:
                 cohort = _Cohort(key, self._engines[key], self.profile)
@@ -436,8 +588,13 @@ class DecisionService:
                 parsed = load_yaml_document(document)
                 scenario = scenario_from_mapping(parsed)
                 run = run_section(parsed)
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, OSError) as exc:
                 raise ServiceError("invalid-scenario", str(exc)) from exc
+            if overrides is not None and not isinstance(overrides, Mapping):
+                raise ServiceError(
+                    "bad-request",
+                    f"overrides must be a mapping, got {type(overrides).__name__}",
+                )
             if overrides:
                 run.update({k: v for k, v in overrides.items() if v is not None})
             key_engine = self._engines.get(self._scenario_key(scenario))
@@ -477,7 +634,7 @@ class DecisionService:
             delivered: list[TwoLevelStepEvent] = []
             for _ in range(count):
                 if not session.events:
-                    if session.loop.done:
+                    if cohort.done:
                         raise ServiceError(
                             "session-done",
                             f"session {session_id!r} reached its horizon "
@@ -485,6 +642,7 @@ class DecisionService:
                         )
                     cohort.advance()
                     self.engine_calls += 1
+                    self.control_steps += len(cohort.groups)
                     self.node_decisions += (
                         cohort.num_episodes * cohort.engine.scenario.num_nodes
                     )
@@ -502,15 +660,16 @@ class DecisionService:
         """
         with self._lock:
             session = self._get(session_id)
-            if not session.loop.done:
+            cohort = session.cohort
+            if not cohort.done:
                 raise ServiceError(
                     "session-not-done",
-                    f"session {session_id!r} is at tick {session.loop.t} of "
+                    f"session {session_id!r} is at tick {cohort.t} of "
                     f"{session.controller.horizon}; tick it to the horizon "
                     "before requesting the result",
                 )
-            profile = session.cohort.sim.profile if self.profile else None
-            return session.loop.result(profile=profile)
+            result = session.group.loop.result(profile=cohort.engine_profile)
+            return _result_rows(result, session.rows)
 
     def close(self, session_id: str) -> None:
         """Detach a session.
@@ -525,7 +684,7 @@ class DecisionService:
             session.closed = True
             session.events.clear()
             del self._sessions[session_id]
-            cohort, session.cohort = session.cohort, None
+            cohort, session.cohort, session.group = session.cohort, None, None
             if all(member.closed for member in cohort.sessions):
                 self._cohorts.remove(cohort)
                 if self._open_cohorts.get(cohort.key) is cohort:
@@ -540,6 +699,7 @@ class DecisionService:
                 "cohorts": len(self._cohorts),
                 "coalesce": self.coalesce,
                 "engine_calls": self.engine_calls,
+                "control_steps": self.control_steps,
                 "ticks_served": self.ticks_served,
                 "node_decisions": self.node_decisions,
                 "policy_cache": self.policy_cache.stats(),

@@ -318,6 +318,13 @@ def load_yaml_document(source) -> Mapping[str, Any]:
 def _load_document(source) -> Mapping[str, Any]:
     if isinstance(source, Mapping):
         return source
+    if not isinstance(source, (str, bytes, os.PathLike)) and not hasattr(
+        source, "read"
+    ):
+        raise ValueError(
+            "a scenario document must be a mapping, YAML text, a file or a "
+            f"path, got {type(source).__name__}"
+        )
     yaml = _yaml()
     text = source
     if hasattr(source, "read"):

@@ -513,6 +513,40 @@ class TestPolicySolveCache:
         assert cache.misses == 1 and cache.hits == threads - 1
         assert len(cache) == 1
 
+    def test_slow_solve_does_not_block_hits_on_other_keys(self):
+        """Single-flight is per key: while the solve of model A is parked,
+        a cache hit for model B returns (the cache-wide lock is not held
+        across ``solve()``)."""
+        model_a = _model_from_counts(np.ones((2, 4, 4)) + np.eye(4))
+        model_b = _model_from_counts(np.ones((2, 4, 4)) + 2 * np.eye(4))
+        cache = PolicySolveCache()
+        stored = cache.get_or_solve(model_b, "s", object)
+        entered, release = threading.Event(), threading.Event()
+
+        def slow_solve() -> object:
+            entered.set()
+            release.wait(timeout=30)
+            return object()
+
+        solver = threading.Thread(
+            target=cache.get_or_solve, args=(model_a, "s", slow_solve)
+        )
+        solver.start()
+        try:
+            assert entered.wait(timeout=10)
+            hit: list[object] = []
+            reader = threading.Thread(
+                target=lambda: hit.append(cache.get_or_solve(model_b, "s", object))
+            )
+            reader.start()
+            reader.join(timeout=5)
+            assert not reader.is_alive(), "a hit on B waited for the solve of A"
+            assert hit == [stored]
+        finally:
+            release.set()
+            solver.join(timeout=10)
+        assert cache.misses == 2 and cache.hits == 1
+
     def test_concurrent_hammering_keeps_counters_consistent(self):
         """Threads racing on lookup, insert and LRU eviction must never
         lose a counter increment or corrupt the entry dict: ``maxsize`` is
