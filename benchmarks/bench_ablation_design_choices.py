@@ -1,4 +1,4 @@
-"""Ablation benches for the TOLERANCE design choices (DESIGN.md §5).
+"""Ablation benches for the TOLERANCE design choices (see docs/architecture.md).
 
 Three ablations of the architecture, each run in the emulation environment:
 

@@ -13,11 +13,12 @@ reduction.  This module fans that work out to worker processes:
 * **Deterministic per-worker seed subtrees.**  The serial path consumes
   children ``0 .. B*N-1`` of ``SeedSequence(seed)`` for the engine
   (episode-major) and children ``B*N + b`` for episode ``b``'s system
-  controller.  A worker reconstructs exactly the children its shard owns
+  controller.  A worker computes exactly the children its shard owns
   via the spawn-key identity ``SeedSequence(seed).spawn(n)[i] ==
-  SeedSequence(seed, spawn_key=(i,))`` (:func:`spawned_child`) — no
-  serial pre-spawn, no stream handoff — so **any shard count reproduces
-  the single-process result bit for bit** under a fixed seed.
+  SeedSequence(seed, spawn_key=(i,))`` — keys ``[lo*N, hi*N)`` and
+  ``[B*N + lo, B*N + hi)`` to :func:`~repro.sim.seeding.uniform_streams`,
+  no serial pre-spawn, no stream handoff — so **any shard count
+  reproduces the single-process result bit for bit** under a fixed seed.
 * **Shared-memory result arrays.**  The parent allocates one
   ``multiprocessing.shared_memory`` block per sweep with a named slot for
   every per-episode metric array (:class:`SharedResultStore`); workers
@@ -55,6 +56,7 @@ import numpy as np
 from ..sim import BatchRecoveryEngine, BatchSimulationResult, FleetScenario
 from ..sim.adversary import draw_adversary_uniforms
 from ..sim.kernels import EngineProfile
+from ..sim.seeding import resolve_entropy, uniform_streams
 from .two_level import TwoLevelController, TwoLevelResult
 from .vector_system import strategy_consumes_rng
 
@@ -62,7 +64,6 @@ __all__ = [
     "validate_n_jobs",
     "shard_episodes",
     "resolve_root_entropy",
-    "spawned_child",
     "shard_uniforms",
     "SharedResultStore",
     "parallel_closed_loop_table",
@@ -104,29 +105,11 @@ def shard_episodes(num_episodes: int, num_shards: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def resolve_root_entropy(seed: int | None) -> int:
-    """Entropy of the shared root ``SeedSequence`` of one sweep.
-
-    An integer seed is its own entropy (``SeedSequence(seed)``); ``None``
-    draws OS entropy once in the parent so that every shard of the run
-    still descends from one tree (the run itself is non-reproducible,
-    matching the serial ``seed=None`` convention).
-    """
-    if seed is None:
-        return np.random.SeedSequence().entropy
-    return seed
-
-
-def spawned_child(entropy: int, index: int) -> np.random.SeedSequence:
-    """Child ``index`` of ``SeedSequence(entropy)``, without spawning.
-
-    The spawn-key identity ``SeedSequence(e).spawn(n)[i] ==
-    SeedSequence(e, spawn_key=(i,))`` lets every worker reconstruct
-    exactly the subtree its shard owns without replaying the serial
-    spawn sequence — the contract that makes sharded randomness
-    bit-identical to the single-process run.
-    """
-    return np.random.SeedSequence(entropy, spawn_key=(index,))
+#: An integer seed is its own root entropy (``SeedSequence(seed)``); ``None``
+#: draws OS entropy once in the parent so that every shard of the run still
+#: descends from one tree (the run itself is non-reproducible, matching the
+#: serial ``seed=None`` convention).
+resolve_root_entropy = resolve_entropy
 
 
 def shard_uniforms(
@@ -137,16 +120,12 @@ def shard_uniforms(
     Reproduces rows ``lo:hi`` of
     :meth:`~repro.sim.BatchRecoveryEngine.draw_uniforms` for the same
     seed: stream ``(b, j)`` is child ``b * N + j`` of the root
-    (episode-major), so a shard regenerates only its own streams.
+    (episode-major), and the spawn-key identity ``SeedSequence(e).spawn(n)[i]
+    == SeedSequence(e, spawn_key=(i,))`` lets a shard compute only its own
+    keys ``[lo*N, hi*N)``.
     """
-    count = (hi - lo) * num_nodes
-    buffer = np.empty((count, width))
-    start = lo * num_nodes
-    for row in range(count):
-        buffer[row] = np.random.default_rng(
-            spawned_child(entropy, start + row)
-        ).random(width)
-    return buffer.reshape(hi - lo, num_nodes, width)
+    streams = [(entropy, range(lo * num_nodes, hi * num_nodes))]
+    return uniform_streams(streams, width).reshape(hi - lo, num_nodes, width)
 
 
 # -- shared-memory result arrays --------------------------------------------------
@@ -329,7 +308,7 @@ def _shard_adversary_uniforms(
         return None
     scenario = engine.scenario
     return draw_adversary_uniforms(
-        engine.adversary, entropy, lo, hi, scenario.num_nodes, scenario.horizon
+        engine.adversary, [(entropy, range(lo, hi))], scenario.num_nodes, scenario.horizon
     )
 
 
@@ -354,14 +333,14 @@ def _run_closed_loop_shard(task: tuple[int, int, int, int]):
         respect_recovery_limit=cell.respect_recovery_limit,
         engine=engine,
     )
-    sequences = None
+    streams = None
     if cell.replication is not None and strategy_consumes_rng(cell.replication):
         # The serial run hands child B*N + b to episode b's controller.
         offset = spec.num_envs * scenario.num_nodes
-        sequences = [spawned_child(spec.entropy, offset + b) for b in range(lo, hi)]
+        streams = [(spec.entropy, range(offset + lo, offset + hi))]
     result = controller.run(
         uniforms=uniforms,
-        system_seed_sequences=sequences,
+        system_streams=streams,
         profile=spec.profile,
         adversary_uniforms=_shard_adversary_uniforms(engine, spec.entropy, lo, hi),
     )

@@ -68,6 +68,7 @@ from ..envs.policies import StrategyPolicy, VectorPolicy
 from ..envs.vector_recovery import VectorRecoveryEnv
 from ..sim import BatchRecoveryEngine, FleetScenario
 from ..sim.kernels import EngineProfile
+from ..sim.seeding import Streams, resolve_entropy, spawn_streams
 from ..sim.strategies import BatchStrategy
 from ..core.metrics import summarize_metric_arrays
 from .vector_system import (
@@ -698,24 +699,24 @@ class TwoLevelController:
         return key
 
     # -- seed tree ----------------------------------------------------------------
-    def _system_seed_sequences(
-        self, seed: int | None
-    ) -> list[np.random.SeedSequence] | None:
+    def _system_streams(self, seed: int | None) -> Streams | None:
         """Per-episode controller streams from the shared episode seed tree.
 
         The engine consumes children ``0 .. B*N-1`` of ``SeedSequence(seed)``
-        (episode-major); the system controllers take the next ``B`` children,
-        so one seed reproduces the entire closed loop — including the scalar
-        reference, which hands child ``B*N + b`` to episode ``b``'s scalar
-        controller.
+        (episode-major); the system controllers take the next ``B``
+        children, keys ``[B*N, B*N + B)``, so one seed reproduces the
+        entire closed loop — including the scalar reference, which hands
+        child ``B*N + b`` to episode ``b``'s scalar controller.  Returns
+        ``(root, keys)`` segments for
+        :func:`~repro.sim.seeding.uniform_streams`, or ``None`` when the
+        replication strategy draws no randomness.
         """
         if self.replication_strategy is None or not strategy_consumes_rng(
             self.replication_strategy
         ):
             return None
         total = self.num_envs * self.smax
-        children = np.random.SeedSequence(seed).spawn(total + self.num_envs)
-        return children[total:]
+        return [(resolve_entropy(seed), range(total, total + self.num_envs))]
 
     # -- batched closed loop -------------------------------------------------------
     def run(
@@ -724,7 +725,7 @@ class TwoLevelController:
         policy_rng: np.random.Generator | None = None,
         on_step: Callable[[TwoLevelStepEvent], None] | None = None,
         uniforms: np.ndarray | None = None,
-        system_seed_sequences: Sequence[np.random.SeedSequence] | None = None,
+        system_streams: Streams | None = None,
         profile: bool = False,
         adversary_uniforms: np.ndarray | None = None,
     ) -> TwoLevelResult:
@@ -747,11 +748,12 @@ class TwoLevelController:
                 (:mod:`repro.control.parallel`) replay episodes
                 ``[lo, hi)`` of a larger run bit for bit.  Mutually
                 exclusive with ``seed``.
-            system_seed_sequences: Explicit per-episode controller seed
-                sequences overriding the seed tree's tail children (one
-                per episode); used together with ``uniforms`` by the
-                sharded sweeps.  Ignored for deterministic replication
-                strategies, matching the seed-tree convention.
+            system_streams: Explicit ``(root, spawn_keys)`` segments of the
+                per-episode controller streams, overriding the seed tree's
+                tail children (one key per episode); used together with
+                ``uniforms`` by the sharded sweeps.  Ignored for
+                deterministic replication strategies, matching the
+                seed-tree convention.
             profile: Record the engine's per-phase wall-clock time into
                 :attr:`TwoLevelResult.profile`.
             adversary_uniforms: Pre-drawn ``(B, horizon, K)`` adversary
@@ -770,7 +772,7 @@ class TwoLevelController:
         loop = self.begin_loop(
             seed=seed,
             policy_rng=policy_rng,
-            system_seed_sequences=system_seed_sequences,
+            system_streams=system_streams,
         )
         for _ in range(self.horizon):
             mask = loop.pre_step(observation)
@@ -786,7 +788,7 @@ class TwoLevelController:
         self,
         seed: int | None = None,
         policy_rng: np.random.Generator | None = None,
-        system_seed_sequences: Sequence[np.random.SeedSequence] | None = None,
+        system_streams: Streams | None = None,
         num_episodes: int | None = None,
     ) -> TwoLevelLoop:
         """Create the incremental per-tick executor of this controller's loop.
@@ -794,14 +796,14 @@ class TwoLevelController:
         :meth:`run` drives the returned :class:`TwoLevelLoop` to the
         horizon around its own environment; the decision service drives it
         one tick at a time around a fused engine step shared with other
-        sessions.  The system-controller seed sequences follow the same
+        sessions.  The system-controller streams follow the same
         convention as :meth:`run` (tail children of the shared episode seed
         tree unless given explicitly).
 
         ``num_episodes`` (default :attr:`num_envs`) sizes the loop for a
         control group: the decision service stacks the episodes of every
         session with an equal :meth:`control_key` into one loop and passes
-        the concatenation of their seed sequences.
+        the concatenation of their stream segments.
         """
         system = VectorSystemController(
             f=self.f,
@@ -811,10 +813,10 @@ class TwoLevelController:
             enforce_invariant=self.enforce_invariant,
             num_episodes=self.num_envs if num_episodes is None else num_episodes,
             horizon=self.horizon,
-            seed_sequences=(
-                system_seed_sequences
-                if system_seed_sequences is not None
-                else self._system_seed_sequences(seed)
+            streams=(
+                system_streams
+                if system_streams is not None
+                else self._system_streams(seed)
             ),
         )
         return TwoLevelLoop(self, system, policy_rng)
@@ -887,12 +889,11 @@ class TwoLevelController:
         engine = self.env.engine
         batch, slots = self.num_envs, self.smax
         if engine.is_dynamic and seed is None:
-            from ..sim.adversary import resolve_adversary_entropy
-
-            seed = resolve_adversary_entropy(None)
+            seed = resolve_entropy(None)
         uniforms = engine.draw_uniforms(seed, batch)
         adversary_uniforms = engine.draw_adversary_uniforms(seed, batch)
-        sequences = self._system_seed_sequences(seed)
+        streams = self._system_streams(seed)
+        system_rngs = [None] * batch if streams is None else spawn_streams(streams)
 
         availability = np.zeros(batch)
         average_nodes = np.zeros(batch)
@@ -930,7 +931,7 @@ class TwoLevelController:
                 strategy=self.replication_strategy,
                 smax=slots,
                 enforce_invariant=self.enforce_invariant,
-                seed=sequences[b] if sequences is not None else None,
+                seed=system_rngs[b],
             )
             active = np.zeros(slots, dtype=bool)
             active[: self.initial_nodes] = True

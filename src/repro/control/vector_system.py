@@ -18,7 +18,8 @@ seeds.  Two properties make that exact rather than statistical:
 2. *Per-episode controller streams.*  Episode ``b`` consumes the uniforms
    of ``numpy.random.default_rng(children[b])`` — the same generator a
    scalar controller seeded with ``children[b]`` draws from — pre-generated
-   into a ``(B, horizon)`` buffer and consumed one column per step, exactly
+   into a ``(B, horizon)`` buffer by :func:`~repro.sim.seeding.uniform_streams`
+   and consumed one column per step, exactly
    when a stochastic strategy (``MixedReplicationStrategy``,
    ``TabularReplicationStrategy``) would call ``rng.random()``.
 
@@ -36,7 +37,6 @@ strategy class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from ..core.strategies import (
     ReplicationThresholdStrategy,
     strategy_is_class_aware,
 )
+from ..sim.seeding import Streams, resolve_entropy, uniform_streams
 
 __all__ = [
     "VectorSystemDecision",
@@ -159,9 +160,11 @@ class VectorSystemController:
             pre-generated uniform buffer of stochastic strategies).
         seed: Seed of the per-episode controller streams; episode ``b``
             draws from child ``b`` of ``SeedSequence(seed)``.
-        seed_sequences: Explicit per-episode seed sequences overriding
-            ``seed`` (one per episode) — how the two-level controller
-            shares one seed tree between the engine and the system level.
+        streams: Explicit ``(root, spawn_keys)`` segments overriding
+            ``seed``, one key per episode in episode order (see
+            :func:`~repro.sim.seeding.uniform_streams`) — how the
+            two-level controller shares one seed tree between the engine
+            and the system level.
     """
 
     def __init__(
@@ -174,7 +177,7 @@ class VectorSystemController:
         num_episodes: int = 1,
         horizon: int = 1000,
         seed: int | None = None,
-        seed_sequences: Sequence[np.random.SeedSequence] | None = None,
+        streams: Streams | None = None,
     ) -> None:
         if f < 0:
             raise ValueError("f must be non-negative")
@@ -237,19 +240,14 @@ class VectorSystemController:
                 )
         self._uniforms: np.ndarray | None = None
         if self._stochastic:
-            if seed_sequences is not None:
-                children = list(seed_sequences)
-                if len(children) != num_episodes:
-                    raise ValueError(
-                        f"need one seed sequence per episode ({num_episodes}), "
-                        f"got {len(children)}"
-                    )
-            else:
-                children = np.random.SeedSequence(seed).spawn(num_episodes)
-            buffer = np.empty((num_episodes, horizon))
-            for b, child in enumerate(children):
-                buffer[b] = np.random.default_rng(child).random(horizon)
-            self._uniforms = buffer
+            if streams is None:
+                streams = [(resolve_entropy(seed), range(num_episodes))]
+            self._uniforms = uniform_streams(streams, horizon)
+            if self._uniforms.shape[0] != num_episodes:
+                raise ValueError(
+                    f"need one stream per episode ({num_episodes}), "
+                    f"got {self._uniforms.shape[0]}"
+                )
         self._step_index = 0
         self.total_additions = np.zeros(num_episodes, dtype=np.int64)
         self.total_evictions = np.zeros(num_episodes, dtype=np.int64)

@@ -17,6 +17,7 @@ Appendix H (:func:`metric_divergence_report`).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -190,18 +191,31 @@ class MetricsCollector:
 def confidence_interval(
     samples: Sequence[float], confidence: float = 0.95
 ) -> tuple[float, float]:
-    """Mean and Student-t half-width, the convention used by all paper tables."""
-    values = np.asarray(list(samples), dtype=float)
+    """Mean and Student-t half-width, the convention used by all paper tables.
+
+    The standard error is ``std(ddof=1) / sqrt(n)``, the arithmetic of
+    ``scipy.stats.sem`` without its per-call dispatch, and the t quantile
+    is memoized per ``(confidence, df)``.
+    """
+    values = np.asarray(
+        samples if isinstance(samples, np.ndarray) else list(samples), dtype=float
+    )
     if values.size == 0:
         raise ValueError("at least one sample is required")
     mean = float(values.mean())
     if values.size == 1:
         return mean, 0.0
-    sem = stats.sem(values)
+    sem = values.std(ddof=1) / math.sqrt(values.size)
     if sem == 0.0 or math.isnan(sem):
         return mean, 0.0
-    half_width = float(sem * stats.t.ppf(0.5 + confidence / 2.0, values.size - 1))
+    half_width = float(sem * _t_quantile(confidence, values.size - 1))
     return mean, half_width
+
+
+@functools.lru_cache(maxsize=256)
+def _t_quantile(confidence: float, df: int) -> float:
+    """Two-sided Student-t quantile ``t_{(1 + confidence) / 2, df}``."""
+    return float(stats.t.ppf(0.5 + confidence / 2.0, df))
 
 
 def summarize_runs(

@@ -23,11 +23,12 @@ At the cohort's first tick (its *seal*) every group gets a contiguous
 block of engine rows and every member a contiguous block ``[lo, hi)`` of
 its group's rows.  The per-session uniform buffers —
 ``engine.draw_uniforms(seed_i, B_i)``, episode-major children of
-``SeedSequence(seed_i)`` — are concatenated in that row order into one
+``SeedSequence(seed_i)`` — are drawn in that row order by one
+``draw_uniforms`` call over the members into one
 :class:`~repro.sim.engine.BatchEpisodeState`, and each group gets ONE
 :class:`~repro.control.TwoLevelLoop` over its members' stacked episodes,
 whose system controller holds the concatenation of every member's
-per-episode seed sequences (the tail children of ``SeedSequence(seed_i)``).
+per-episode streams (the tail children of ``SeedSequence(seed_i)``).
 One tick is then one ``pre_step`` per group, ONE fused ``engine.step``
 for the cohort and one ``post_step`` per group.
 
@@ -74,8 +75,9 @@ from ..control.two_level import TwoLevelController, TwoLevelLoop, TwoLevelResult
 from ..control.vector_system import VectorSystemDecision
 from ..envs.base import VectorObservation
 from ..sim import BatchRecoveryEngine, FleetScenario
+from ..sim.seeding import resolve_entropy
 from ..sim.scenario_io import (
-    load_yaml_document,
+    parse_yaml_document,
     run_section,
     scenario_from_mapping,
     scenario_to_mapping,
@@ -280,7 +282,7 @@ class _ControlGroup:
         """Assign rows from cohort row ``lo`` on and build the loop.
 
         The loop's system controller receives the concatenation of every
-        member's per-episode seed sequences (the tail children of
+        member's per-episode stream segments (the tail children of
         ``SeedSequence(seed_i)``), so row ``lo_i + b`` draws exactly what
         episode ``b`` of a direct ``run(seed=seed_i)`` draws.  Returns the
         cohort row after the group's last.
@@ -291,12 +293,10 @@ class _ControlGroup:
             session.rows = slice(offset, offset + num_envs)
             offset += num_envs
         self.rows = slice(lo, lo + offset)
-        parts = [s.controller._system_seed_sequences(s.seed) for s in self.sessions]
-        sequences = (
-            None if parts[0] is None else [seq for part in parts for seq in part]
-        )
+        parts = [s.controller._system_streams(s.seed) for s in self.sessions]
+        streams = None if parts[0] is None else [seg for part in parts for seg in part]
         self.loop = self.sessions[0].controller.begin_loop(
-            system_seed_sequences=sequences, num_episodes=offset
+            system_streams=streams, num_episodes=offset
         )
         return lo + offset
 
@@ -409,31 +409,23 @@ class _Cohort:
         """Build the group loops and fuse the members' uniform buffers.
 
         Engine rows are laid out group by group, members in registration
-        order within a group.  Session ``i``'s rows of the fused buffers
-        are exactly ``engine.draw_uniforms(seed_i, B_i)`` — the buffer a
-        direct ``TwoLevelController.run(seed=seed_i)`` consumes — so every
-        fused row replays its standalone counterpart bit for bit.
+        order within a group, and the whole cohort is seeded in one
+        ``draw_uniforms`` call over its ``(seed_i, B_i)`` members.  Session
+        ``i``'s rows of the fused buffers are exactly
+        ``engine.draw_uniforms(seed_i, B_i)`` — the buffer a direct
+        ``TwoLevelController.run(seed=seed_i)`` consumes — so every fused
+        row replays its standalone counterpart bit for bit.
         """
         lo = 0
         for group in self.groups:
             lo = group.seal(lo)
-        members = [s for group in self.groups for s in group.sessions]
+        members = [
+            (s.seed, s.controller.num_envs) for group in self.groups for s in group.sessions
+        ]
         engine = self.engine
-        uniforms = np.concatenate(
-            [engine.draw_uniforms(s.seed, s.controller.num_envs) for s in members],
-            axis=0,
-        )
-        adversary_uniforms = None
-        if engine.is_dynamic:
-            buffers = [
-                engine.draw_adversary_uniforms(s.seed, s.controller.num_envs)
-                for s in members
-            ]
-            if buffers[0] is not None:
-                adversary_uniforms = np.concatenate(buffers, axis=0)
         self.sim = engine.begin(
-            uniforms=uniforms,
-            adversary_uniforms=adversary_uniforms,
+            uniforms=engine.draw_uniforms(members),
+            adversary_uniforms=engine.draw_adversary_uniforms(members),
             profile=self.profile,
         )
         self.engine_profile = self.sim.profile
@@ -554,9 +546,7 @@ class DecisionService:
         with self._lock:
             engine = controller.env.engine
             if engine.is_dynamic and seed is None:
-                from ..sim.adversary import resolve_adversary_entropy
-
-                seed = resolve_adversary_entropy(None)
+                seed = resolve_entropy(None)
             key = self._scenario_key(controller.scenario)
             self._engines.setdefault(key, engine)
             session = _Session(f"s{next(self._ids)}", controller, seed)
@@ -577,7 +567,9 @@ class DecisionService:
     ) -> dict[str, Any]:
         """Register a session from a ``repro/scenario-v1`` document.
 
-        ``document`` is a parsed mapping, YAML text or a YAML path; the
+        ``document`` is a parsed mapping or YAML text — a string is always
+        parsed as text, never opened as a path, so a client cannot make the
+        service read its files (path loading belongs to the CLI).  The
         ``run`` section (updated with ``overrides``) supplies episodes,
         seed and the control policies exactly as the CLI runner reads
         them.  Returns the register-response payload (session id plus the
@@ -585,10 +577,10 @@ class DecisionService:
         """
         with self._lock:
             try:
-                parsed = load_yaml_document(document)
+                parsed = parse_yaml_document(document)
                 scenario = scenario_from_mapping(parsed)
                 run = run_section(parsed)
-            except (ValueError, TypeError, OSError) as exc:
+            except (ValueError, TypeError) as exc:
                 raise ServiceError("invalid-scenario", str(exc)) from exc
             if overrides is not None and not isinstance(overrides, Mapping):
                 raise ServiceError(

@@ -46,7 +46,9 @@ Layer contract
   per ``(episode, node)`` stream, episode-major; both paths consume the
   same children, which is what makes parity exact rather than statistical.
   (This replaced the pre-1.1 single shared generator — same-seed outputs
-  differ from version 1.0.0.)
+  differ from version 1.0.0.)  The engine computes its streams vectorized
+  with :func:`~repro.sim.seeding.uniform_streams`, bit-equal to NumPy's
+  ``SeedSequence``/PCG64; the scalar path keeps NumPy ``Generator`` objects.
 
 The engine kernel
 -----------------

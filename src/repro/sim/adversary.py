@@ -61,6 +61,8 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from .seeding import Streams, uniform_streams
+
 __all__ = [
     "AdversaryProcess",
     "StaticAdversary",
@@ -71,7 +73,6 @@ __all__ = [
     "adversary_from_spec",
     "adversary_to_spec",
     "draw_adversary_uniforms",
-    "resolve_adversary_entropy",
 ]
 
 #: Salt prepended to the run entropy so adversary streams are independent of
@@ -79,45 +80,27 @@ __all__ = [
 _ADVERSARY_SALT = 0x5EED_AD7E
 
 
-def resolve_adversary_entropy(seed: int | None) -> int:
-    """A concrete entropy value for the adversary seed tree.
-
-    ``None`` draws fresh OS entropy (the run is then non-reproducible,
-    matching the engine's ``seed=None`` convention); integers pass through.
-    """
-    if seed is None:
-        return int(np.random.SeedSequence().entropy)
-    return int(seed)
-
-
 def draw_adversary_uniforms(
     adversary: "AdversaryProcess",
-    entropy: int,
-    lo: int,
-    hi: int,
+    episodes: Streams,
     num_nodes: int,
     horizon: int,
 ) -> np.ndarray | None:
-    """Pre-draw the adversary uniforms for episodes ``[lo, hi)``.
+    """Pre-draw the adversary uniforms of the given episodes.
 
-    Returns a ``(hi - lo, horizon, K)`` buffer with
+    ``episodes`` lists ``(entropy, episode_indices)`` segments — e.g.
+    ``[(entropy, range(lo, hi))]`` for a shard, or one segment per session
+    of a service cohort.  Returns a ``(count, horizon, K)`` buffer with
     ``K = adversary.uniforms_per_step(num_nodes)``, or ``None`` when the
-    adversary consumes no randomness.  Row ``b - lo`` is a pure function of
-    ``(entropy, b)``, so shards and scalar replays reproduce the exact rows
-    of a monolithic draw.
+    adversary consumes no randomness.  Episode ``b``'s row is a pure
+    function of ``(entropy, b)`` (the salted stream), so shards and scalar
+    replays reproduce the exact rows of a monolithic draw.
     """
     width = adversary.uniforms_per_step(num_nodes)
     if width == 0:
         return None
-    if entropy is None:
-        raise ValueError("adversary uniforms require a concrete entropy/seed")
-    buffer = np.empty((hi - lo, horizon, width))
-    for b in range(lo, hi):
-        sequence = np.random.SeedSequence(
-            [_ADVERSARY_SALT, int(entropy)], spawn_key=(b,)
-        )
-        buffer[b - lo] = np.random.default_rng(sequence).random((horizon, width))
-    return buffer
+    streams = [([_ADVERSARY_SALT, int(entropy)], keys) for entropy, keys in episodes]
+    return uniform_streams(streams, horizon * width).reshape(-1, horizon, width)
 
 
 class AdversaryProcess:

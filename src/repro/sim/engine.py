@@ -60,13 +60,10 @@ import numpy as np
 from ..core.metrics import summarize_metric_arrays
 from ..core.node_model import NodeState
 from ..core.strategies import RecoveryStrategy
-from .adversary import (
-    StaticAdversary,
-    draw_adversary_uniforms as _draw_adversary_uniforms,
-    resolve_adversary_entropy,
-)
+from .adversary import StaticAdversary, draw_adversary_uniforms as _draw_adversary_uniforms
 from .kernels import EngineProfile, FusedKernel
 from .scenario import FleetScenario
+from .seeding import resolve_entropy, uniform_streams
 from .strategies import BatchMultiThreshold, BatchStrategy, as_batch_strategy
 
 __all__ = ["BatchEpisodeState", "BatchSimulationResult", "BatchRecoveryEngine"]
@@ -81,6 +78,16 @@ _CRASHED = int(NodeState.CRASHED)
 _UNIFORM_CACHE: dict[tuple, np.ndarray] = {}
 _UNIFORM_CACHE_MAX_ENTRIES = 8
 _UNIFORM_CACHE_MAX_ELEMENTS = 8_000_000  # 64 MB of float64 per entry
+
+#: ``(seed_i, B_i)`` members of a multi-session draw (see ``draw_uniforms``).
+SeedMembers = Sequence[tuple[int | None, int]]
+
+
+def _members(seed, num_episodes: int | None) -> list[tuple[int | None, int]]:
+    """The ``(seed, B)`` members of a draw; a scalar call is one member."""
+    if num_episodes is not None:
+        return [(seed, num_episodes)]
+    return [(s, int(b)) for s, b in seed]
 
 
 @dataclass(frozen=True)
@@ -305,7 +312,9 @@ class BatchRecoveryEngine:
         return self._dynamic
 
     # -- randomness -------------------------------------------------------------
-    def draw_uniforms(self, seed: int | None, num_episodes: int) -> np.ndarray:
+    def draw_uniforms(
+        self, seed: SeedMembers | int | None, num_episodes: int | None = None
+    ) -> np.ndarray:
         """Pre-generate the uniform buffer, shape ``(B, N, 2 * horizon)``.
 
         Stream ``(b, j)`` is child ``b * N + j`` of ``SeedSequence(seed)``
@@ -313,26 +322,32 @@ class BatchRecoveryEngine:
         ``j``'s parameters with that child's generator.  Each scalar step
         consumes one uniform for the state transition and, unless the node
         crashed, one for the observation, so ``2 * horizon`` doubles bound
-        an episode's consumption.
+        an episode's consumption.  The streams are computed vectorized by
+        :func:`~repro.sim.seeding.uniform_streams`.
 
-        Seeded buffers are memoized in a small module-level cache (the
-        buffer is a pure function of ``(seed, B, N, width)`` and the engine
-        never writes into it), so common-random-number loops that rebuild
-        engines per candidate stop regenerating identical gigastreams.
+        ``seed`` may instead be a sequence of ``(seed_i, B_i)`` members
+        (``num_episodes`` omitted): the result is the members' buffers
+        concatenated on the episode axis, in one call — how the decision
+        service seeds a whole cohort.
+
+        Single-member seeded buffers are memoized in a small module-level
+        cache (the buffer is a pure function of ``(seed, B, N, width)`` and
+        the engine never writes into it), so common-random-number loops
+        that rebuild engines per candidate stop regenerating identical
+        gigastreams.
         """
+        members = _members(seed, num_episodes)
         num_nodes = self.scenario.num_nodes
         width = 2 * self.scenario.horizon
-        key = (seed, num_episodes, num_nodes, width)
-        if seed is not None:
+        key = None
+        if len(members) == 1 and members[0][0] is not None:
+            key = (members[0][0], members[0][1], num_nodes, width)
             cached = _UNIFORM_CACHE.get(key)
             if cached is not None:
                 return cached
-        children = np.random.SeedSequence(seed).spawn(num_episodes * num_nodes)
-        buffer = np.empty((num_episodes * num_nodes, width))
-        for row, child in enumerate(children):
-            buffer[row] = np.random.default_rng(child).random(width)
-        uniforms = buffer.reshape(num_episodes, num_nodes, width)
-        if seed is not None and uniforms.size <= _UNIFORM_CACHE_MAX_ELEMENTS:
+        streams = [(resolve_entropy(s), range(b * num_nodes)) for s, b in members]
+        uniforms = uniform_streams(streams, width).reshape(-1, num_nodes, width)
+        if key is not None and uniforms.size <= _UNIFORM_CACHE_MAX_ELEMENTS:
             uniforms.setflags(write=False)
             if len(_UNIFORM_CACHE) >= _UNIFORM_CACHE_MAX_ENTRIES:
                 _UNIFORM_CACHE.pop(next(iter(_UNIFORM_CACHE)))
@@ -340,7 +355,7 @@ class BatchRecoveryEngine:
         return uniforms
 
     def draw_adversary_uniforms(
-        self, seed: int | None, num_episodes: int
+        self, seed: SeedMembers | int | None, num_episodes: int | None = None
     ) -> np.ndarray | None:
         """Pre-draw the adversary's ``(B, horizon, K)`` uniform buffer.
 
@@ -349,21 +364,21 @@ class BatchRecoveryEngine:
         engine streams of :meth:`draw_uniforms`; rows are per-episode, so
         the ``[b : b + 1]`` scalar replay and the ``[lo : hi)`` shard slices
         of :mod:`repro.control.parallel` reproduce a monolithic draw
-        exactly.  Returns ``None`` for static adversaries and for dynamic
-        adversaries that consume no randomness.
+        exactly.  ``seed`` takes ``(seed_i, B_i)`` members like
+        :meth:`draw_uniforms`.  Returns ``None`` for static adversaries and
+        for dynamic adversaries that consume no randomness.
         """
         if not self._dynamic:
             return None
-        if seed is None:
+        members = _members(seed, num_episodes)
+        if any(s is None for s, _ in members):
             raise ValueError(
                 "a dynamic adversary needs a concrete seed to draw its "
                 "uniform streams; pass seed= (or pre-drawn adversary_uniforms=)"
             )
         return _draw_adversary_uniforms(
             self.adversary,
-            int(seed),
-            0,
-            num_episodes,
+            [(int(s), range(b)) for s, b in members],
             self.scenario.num_nodes,
             self.scenario.horizon,
         )
@@ -405,7 +420,7 @@ class BatchRecoveryEngine:
             if self._dynamic and seed is None:
                 # Resolve one entropy up front so the engine streams and the
                 # adversary streams come from the same (fresh) root.
-                seed = resolve_adversary_entropy(None)
+                seed = resolve_entropy(None)
             uniforms = self.draw_uniforms(seed, num_episodes)
             if self._dynamic and adversary_uniforms is None:
                 adversary_uniforms = self.draw_adversary_uniforms(seed, num_episodes)
@@ -451,7 +466,7 @@ class BatchRecoveryEngine:
         thresholds = np.atleast_2d(np.asarray(thresholds, dtype=float))
         num_candidates = thresholds.shape[0]
         if self._dynamic and seed is None:
-            seed = resolve_adversary_entropy(None)
+            seed = resolve_entropy(None)
         base = self.draw_uniforms(seed, num_episodes)  # (M, 1, 2T)
         uniforms = np.tile(base, (num_candidates, 1, 1))  # (K*M, 1, 2T)
         adversary_uniforms = None
@@ -533,7 +548,7 @@ class BatchRecoveryEngine:
             if num_episodes is None or num_episodes < 1:
                 raise ValueError("num_episodes must be >= 1")
             if self._dynamic and seed is None:
-                seed = resolve_adversary_entropy(None)
+                seed = resolve_entropy(None)
             uniforms = self.draw_uniforms(seed, num_episodes)
             if self._dynamic and adversary_uniforms is None:
                 adversary_uniforms = self.draw_adversary_uniforms(seed, num_episodes)

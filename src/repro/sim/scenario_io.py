@@ -82,6 +82,7 @@ __all__ = [
     "scenario_from_mapping",
     "run_section",
     "load_yaml_document",
+    "parse_yaml_document",
 ]
 
 #: Schema identifier every scenario document must carry.
@@ -310,12 +311,10 @@ def load_yaml_document(source) -> Mapping[str, Any]:
     """Parse a YAML path, text, open file, or mapping into a mapping.
 
     Shared by :func:`scenario_from_yaml` and the CLI runner (which also
-    needs the document's ``run`` section).
+    needs the document's ``run`` section).  A one-line string ending in
+    ``.yaml``/``.yml`` is read as a path; untrusted input goes through
+    :func:`parse_yaml_document` instead, which never opens a file.
     """
-    return _load_document(source)
-
-
-def _load_document(source) -> Mapping[str, Any]:
     if isinstance(source, Mapping):
         return source
     if not isinstance(source, (str, bytes, os.PathLike)) and not hasattr(
@@ -325,7 +324,6 @@ def _load_document(source) -> Mapping[str, Any]:
             "a scenario document must be a mapping, YAML text, a file or a "
             f"path, got {type(source).__name__}"
         )
-    yaml = _yaml()
     text = source
     if hasattr(source, "read"):
         text = source.read()
@@ -336,8 +334,26 @@ def _load_document(source) -> Mapping[str, Any]:
     ):
         with open(source, "r", encoding="utf-8") as handle:
             text = handle.read()
+    return parse_yaml_document(text)
+
+
+def parse_yaml_document(source) -> Mapping[str, Any]:
+    """Parse a mapping or YAML *text* into a mapping; never touches files.
+
+    A string is always YAML text, even if it looks like a path, so a
+    document received from a client cannot make the process read its own
+    files.
+    """
+    if isinstance(source, Mapping):
+        return source
+    if not isinstance(source, (str, bytes)):
+        raise ValueError(
+            "a scenario document must be a mapping or YAML text, got "
+            f"{type(source).__name__}"
+        )
+    yaml = _yaml()
     try:
-        document = yaml.safe_load(text)
+        document = yaml.safe_load(source)
     except yaml.YAMLError as exc:
         # Surface parse failures as the named ValueError the CLI's error
         # paths catch, instead of a backend-specific exception type.
@@ -352,7 +368,7 @@ def _load_document(source) -> Mapping[str, Any]:
 
 def scenario_from_yaml(source) -> FleetScenario:
     """Build a scenario from a YAML path, YAML text, open file, or mapping."""
-    return scenario_from_mapping(_load_document(source))
+    return scenario_from_mapping(load_yaml_document(source))
 
 
 def scenario_to_yaml(scenario: FleetScenario, path=None) -> str:

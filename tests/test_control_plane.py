@@ -166,7 +166,7 @@ class TestVectorSystemControllerParity:
                 f=1,
                 strategy=REPLICATION_STRATEGIES["mixed"],
                 num_episodes=3,
-                seed_sequences=np.random.SeedSequence(0).spawn(2),
+                streams=[(0, range(2))],
             )
 
 

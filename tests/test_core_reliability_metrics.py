@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from repro.core import (
     EpisodeMetrics,
@@ -189,6 +192,28 @@ class TestStatistics:
     def test_confidence_interval_requires_samples(self):
         with pytest.raises(ValueError):
             confidence_interval([])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        samples=st.lists(
+            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+            min_size=2,
+            max_size=300,
+        ),
+        confidence=st.sampled_from([0.8, 0.9, 0.95, 0.99]),
+    )
+    def test_confidence_interval_matches_the_scipy_form(self, samples, confidence):
+        values = np.asarray(samples)
+        sem = stats.sem(values)
+        expected_half = (
+            0.0
+            if sem == 0.0
+            else float(sem * stats.t.ppf(0.5 + confidence / 2.0, values.size - 1))
+        )
+        assert confidence_interval(samples, confidence) == (
+            float(values.mean()),
+            expected_half,
+        )
 
     def test_summarize_runs(self):
         runs = [

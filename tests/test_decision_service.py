@@ -404,6 +404,30 @@ class TestRegisterDocument:
         payload = service.register_document(text)
         assert payload["episodes"] == 3 and payload["seed"] == 1
 
+    def test_wire_register_never_opens_a_server_side_path(self, tmp_path, monkeypatch):
+        import builtins
+
+        pytest.importorskip("yaml")
+        path = tmp_path / "x.yaml"
+        path.write_text(_scenario(horizon=6).to_yaml(), encoding="utf-8")
+        opened = []
+        real_open = builtins.open
+
+        def spy_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        server = DecisionServer(("127.0.0.1", 0))
+        try:
+            monkeypatch.setattr(builtins, "open", spy_open)
+            request = {"schema": DECISION_SCHEMA, "op": "register", "scenario": str(path)}
+            response = server.handle_request_line(json.dumps(request))
+        finally:
+            server.server_close()
+        assert not response["ok"]
+        assert response["error"]["name"] == "invalid-scenario"
+        assert str(path) not in opened
+
     def test_lp_replication_solves_through_the_policy_cache(self):
         from repro.control import PolicySolveCache
 

@@ -47,11 +47,11 @@ from repro.control.parallel import (
     resolve_root_entropy,
     shard_episodes,
     shard_uniforms,
-    spawned_child,
     validate_n_jobs,
 )
 from repro.control.two_level import TwoLevelController
 from repro.control.policy_cache import fitted_model_key
+from repro.sim.seeding import uniform_streams
 from repro.core import (
     BetaBinomialObservationModel,
     MixedReplicationStrategy,
@@ -148,16 +148,12 @@ class TestShardingPrimitives:
     def test_validate_n_jobs_accepts_numpy_integers(self):
         assert validate_n_jobs(np.int64(3)) == 3
 
-    def test_spawned_child_matches_serial_spawn(self):
+    def test_spawn_keys_match_serial_spawn(self):
         for entropy in (0, 7, 123456789):
             children = np.random.SeedSequence(entropy).spawn(5)
-            for index, child in enumerate(children):
-                rebuilt = spawned_child(entropy, index)
-                assert rebuilt.spawn_key == child.spawn_key
-                assert (
-                    np.random.default_rng(rebuilt).random(8).tolist()
-                    == np.random.default_rng(child).random(8).tolist()
-                )
+            rebuilt = uniform_streams([(entropy, range(2, 5))], 8)
+            for row, child in enumerate(children[2:]):
+                assert rebuilt[row].tolist() == np.random.default_rng(child).random(8).tolist()
 
     def test_resolve_root_entropy(self):
         assert resolve_root_entropy(42) == 42
