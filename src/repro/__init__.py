@@ -50,7 +50,7 @@ Quickstart::
 
 from . import consensus, control, core, emulation, envs, serve, sim, solvers
 
-__version__ = "1.13.0"
+__version__ = "1.14.0"
 
 __all__ = [
     "consensus",

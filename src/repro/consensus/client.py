@@ -82,7 +82,7 @@ class MinBFTClient:
             key=key,
             value=value,
         )
-        signature = self._key.sign(unsigned.payload())
+        signature = self._key.sign(unsigned.payload_bytes)
         return ClientRequest(
             client_id=self.client_id,
             request_id=request_id,

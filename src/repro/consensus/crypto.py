@@ -8,6 +8,14 @@ the same *interface* guarantees (only the holder of the signing secret can
 produce a valid signature; anyone with the registry can verify) without the
 cost of real public-key cryptography.  The registry also doubles as the
 trusted PKI that an authenticated network provides.
+
+Everything that is hashed or signed is first put in canonical form: the
+bytes of ``json.dumps(payload, sort_keys=True, default=repr)``.  The
+protocol's own payloads are flat ``{str: int | str}`` dicts, which
+:class:`FlatLayout` writes directly, byte for byte as ``json.dumps`` would;
+:func:`digest`, :meth:`KeyPair.sign` and :meth:`KeyRegistry.verify` also
+accept those canonical ``bytes`` as they are, so a message encoded once can
+be hashed and checked by every receiver without serializing it again.
 """
 
 from __future__ import annotations
@@ -18,7 +26,47 @@ import json
 import secrets
 from dataclasses import dataclass
 
-__all__ = ["Signature", "KeyPair", "KeyRegistry", "digest"]
+__all__ = ["Signature", "KeyPair", "KeyRegistry", "FlatLayout", "digest"]
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+class FlatLayout:
+    """Canonical encoder of a flat payload with a fixed set of keys.
+
+    ``FlatLayout("view", "sequence").encode(v, s)`` returns the canonical
+    bytes of ``{"view": v, "sequence": s}`` from a format string built once,
+    with the keys already sorted.  Values other than plain ``str``/``int``/
+    ``None`` fall back to ``json.dumps``, so the output is always
+    byte-identical to ``json.dumps(payload, sort_keys=True, default=repr)``.
+    The type checks are exact: ``bool`` (``true`` in JSON), NumPy integers
+    (written through ``repr``) and ``str``/``int`` subclasses fall back.
+    """
+
+    __slots__ = ("keys", "_template")
+
+    def __init__(self, *keys: str) -> None:
+        self.keys = keys
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        fields = (
+            _encode_str(keys[i]).replace("{", "{{").replace("}", "}}") + f": {{{i}}}"
+            for i in order
+        )
+        self._template = "{{" + ", ".join(fields) + "}}"
+
+    def encode(self, *values: object) -> bytes:
+        texts = []
+        for value in values:
+            kind = type(value)
+            if kind is str:
+                texts.append(_encode_str(value))
+            elif kind is int:
+                texts.append(int.__repr__(value))
+            elif value is None:
+                texts.append("null")
+            else:
+                return _canonical(dict(zip(self.keys, values)))
+        return self._template.format(*texts).encode("ascii")
 
 
 def _canonical(payload: object) -> bytes:
@@ -27,8 +75,9 @@ def _canonical(payload: object) -> bytes:
 
 
 def digest(payload: object) -> str:
-    """SHA-256 digest of an arbitrary (JSON-serializable) payload."""
-    return hashlib.sha256(_canonical(payload)).hexdigest()
+    """SHA-256 digest of a payload, or of canonical ``bytes`` taken as they are."""
+    data = payload if type(payload) is bytes else _canonical(payload)
+    return hashlib.sha256(data).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -40,21 +89,35 @@ class Signature:
 
 
 class KeyPair:
-    """Signing key of one principal (replica, client, or controller)."""
+    """Signing key of one principal (replica, client, or controller).
+
+    The secret is keyed into one HMAC object at construction; every tag is
+    computed on a ``copy()`` of it, which skips re-deriving the inner and
+    outer pads from the raw secret on each call.
+    """
 
     def __init__(self, owner: str, secret: bytes | None = None) -> None:
         self.owner = owner
-        self._secret = secret if secret is not None else secrets.token_bytes(32)
+        secret = secret if secret is not None else secrets.token_bytes(32)
+        self._mac = hmac.new(secret, digestmod=hashlib.sha256)
+
+    def _tag(self, payload: object) -> str:
+        mac = self._mac.copy()
+        mac.update(payload if type(payload) is bytes else _canonical(payload))
+        return mac.hexdigest()
 
     def sign(self, payload: object) -> Signature:
-        tag = hmac.new(self._secret, _canonical(payload), hashlib.sha256).hexdigest()
-        return Signature(signer=self.owner, tag=tag)
+        return Signature(signer=self.owner, tag=self._tag(payload))
 
     def verify(self, payload: object, signature: Signature) -> bool:
         if signature.signer != self.owner:
             return False
-        expected = hmac.new(self._secret, _canonical(payload), hashlib.sha256).hexdigest()
-        return hmac.compare_digest(expected, signature.tag)
+        tag = signature.tag
+        # compare_digest raises on non-ASCII or non-str input; a forged
+        # signature must be rejected, not crash the receiver.
+        if not isinstance(tag, str) or not tag.isascii():
+            return False
+        return hmac.compare_digest(self._tag(payload), tag)
 
 
 class KeyRegistry:

@@ -5,15 +5,32 @@ Appendix G: REQUEST, PREPARE, COMMIT, REPLY for the normal case;
 VIEW-CHANGE / NEW-VIEW for leader replacement; CHECKPOINT for garbage
 collection; STATE for state transfer after recovery; and JOIN / EVICT plus
 their replies for reconfiguration requested by the system controller.
-Messages are plain frozen dataclasses so they can be hashed into digests and
-carried over the simulated network by value.
+Messages are plain frozen dataclasses carried over the simulated network by
+value.
+
+Each message kind that a USIG certifies (PREPARE, COMMIT, CHECKPOINT,
+VIEW-CHANGE, NEW-VIEW) defines its certified content in one place: a
+``content_digest_of(...)`` static method that the sender calls before the
+UI exists, and a ``content_digest`` property that a receiver compares with
+the UI's digest.  The property is computed from the instance's own frozen
+fields on first use and cached on the instance; so is a client request's
+``payload_bytes``/``payload_digest``.  One broadcast message object reaches
+all ``n - 1`` receivers, so the canonical encoding and the SHA-256 run once
+per message rather than once per receiver, while every receiver still
+computes the HMAC of the UI or signature it checks.  A tampered message —
+including one a Byzantine replica builds — is a new instance (frozen
+fields; ``dataclasses.replace`` constructs anew), whose digest is computed
+from its own fields, so the cache cannot carry a stale digest over to it.
+A request ``value`` that is a mutable container must not be mutated once
+the request is built: its bytes are encoded once, like every other field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .crypto import Signature
+from .crypto import FlatLayout, Signature, digest
 from .usig import UniqueIdentifier
 
 __all__ = [
@@ -32,6 +49,13 @@ __all__ = [
 ]
 
 
+_REQUEST_PAYLOAD = FlatLayout("client_id", "request_id", "operation", "key", "value")
+_PREPARE_CONTENT = FlatLayout("view", "sequence", "request")
+_COMMIT_CONTENT = FlatLayout("view", "sequence", "digest")
+_CHECKPOINT_CONTENT = FlatLayout("sequence", "digest")
+_VIEW_CHANGE_CONTENT = FlatLayout("new_view", "last_executed", "checkpoint")
+
+
 @dataclass(frozen=True)
 class ClientRequest:
     """A signed client request (read or write) with a unique identifier."""
@@ -43,19 +67,21 @@ class ClientRequest:
     value: object | None
     signature: Signature | None = None
 
-    @property
+    @cached_property
     def identifier(self) -> tuple[str, int]:
         return (self.client_id, self.request_id)
 
-    def payload(self) -> dict:
-        """Signable content (everything except the signature)."""
-        return {
-            "client_id": self.client_id,
-            "request_id": self.request_id,
-            "operation": self.operation,
-            "key": self.key,
-            "value": self.value,
-        }
+    @cached_property
+    def payload_bytes(self) -> bytes:
+        """Canonical bytes of the signable content (every field but the signature)."""
+        return _REQUEST_PAYLOAD.encode(
+            self.client_id, self.request_id, self.operation, self.key, self.value
+        )
+
+    @cached_property
+    def payload_digest(self) -> str:
+        """SHA-256 of :attr:`payload_bytes`: the request digest PREPAREs and COMMITs carry."""
+        return digest(self.payload_bytes)
 
 
 @dataclass(frozen=True)
@@ -68,6 +94,15 @@ class Prepare:
     leader_id: str
     ui: UniqueIdentifier
 
+    @staticmethod
+    def content_digest_of(view: int, sequence: int, request_digest: str) -> str:
+        """Digest of the content a PREPARE's UI certifies."""
+        return digest(_PREPARE_CONTENT.encode(view, sequence, request_digest))
+
+    @cached_property
+    def content_digest(self) -> str:
+        return self.content_digest_of(self.view, self.sequence, self.request.payload_digest)
+
 
 @dataclass(frozen=True)
 class Commit:
@@ -79,6 +114,15 @@ class Commit:
     replica_id: str
     prepare_ui: UniqueIdentifier
     ui: UniqueIdentifier
+
+    @staticmethod
+    def content_digest_of(view: int, sequence: int, request_digest: str) -> str:
+        """Digest of the content a COMMIT's UI certifies."""
+        return digest(_COMMIT_CONTENT.encode(view, sequence, request_digest))
+
+    @cached_property
+    def content_digest(self) -> str:
+        return self.content_digest_of(self.view, self.sequence, self.request_digest)
 
 
 @dataclass(frozen=True)
@@ -102,6 +146,15 @@ class Checkpoint:
     replica_id: str
     ui: UniqueIdentifier
 
+    @staticmethod
+    def content_digest_of(sequence: int, state_digest: str) -> str:
+        """Digest of the content a CHECKPOINT's UI certifies."""
+        return digest(_CHECKPOINT_CONTENT.encode(sequence, state_digest))
+
+    @cached_property
+    def content_digest(self) -> str:
+        return self.content_digest_of(self.sequence, self.state_digest)
+
 
 @dataclass(frozen=True)
 class ViewChange:
@@ -113,6 +166,15 @@ class ViewChange:
     checkpoint_digest: str
     ui: UniqueIdentifier
 
+    @staticmethod
+    def content_digest_of(new_view: int, last_executed: int, checkpoint_digest: str) -> str:
+        """Digest of the content a VIEW-CHANGE's UI certifies."""
+        return digest(_VIEW_CHANGE_CONTENT.encode(new_view, last_executed, checkpoint_digest))
+
+    @cached_property
+    def content_digest(self) -> str:
+        return self.content_digest_of(self.new_view, self.last_executed, self.checkpoint_digest)
+
 
 @dataclass(frozen=True)
 class NewView:
@@ -123,6 +185,19 @@ class NewView:
     membership: tuple[str, ...]
     starting_sequence: int
     ui: UniqueIdentifier
+
+    @staticmethod
+    def content_digest_of(
+        view: int, membership: tuple[str, ...], starting_sequence: int
+    ) -> str:
+        """Digest of the content a NEW-VIEW's UI certifies (not flat: a list of ids)."""
+        return digest(
+            {"view": view, "membership": membership, "starting_sequence": starting_sequence}
+        )
+
+    @cached_property
+    def content_digest(self) -> str:
+        return self.content_digest_of(self.view, self.membership, self.starting_sequence)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ participates with corrupted messages.
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
@@ -58,24 +57,6 @@ __all__ = [
     "MinBFTReplica",
     "MinBFTCluster",
 ]
-
-
-@functools.lru_cache(maxsize=8192)
-def _cached_request_digest(request: ClientRequest) -> str:
-    return digest(request.payload())
-
-
-def _request_digest(request: ClientRequest) -> str:
-    """Digest of a client request's signable payload, memoized when hashable.
-
-    The same request is digested a handful of times per replica (prepare
-    handling, commit sending, quorum counting); the cache keeps the
-    closed-loop benchmark from re-serializing the payload each time.
-    """
-    try:
-        return _cached_request_digest(request)
-    except TypeError:  # unhashable request value
-        return digest(request.payload())
 
 
 class ByzantineBehavior(enum.Enum):
@@ -241,7 +222,7 @@ class MinBFTReplica:
                 self.network.send(self.replica_id, request.client_id, reply)
             return
         if request.signature is not None and not self.registry.verify(
-            request.payload(), request.signature
+            request.payload_bytes, request.signature
         ):
             return  # Validity: drop requests that were not signed by a client.
         if request.identifier not in self.pending_client_requests:
@@ -259,8 +240,9 @@ class MinBFTReplica:
             max(self.next_sequence, self.executed_sequence, self.known_sequence) + 1
         )
         sequence = self.next_sequence
-        content = {"view": self.view, "sequence": sequence, "request": _request_digest(request)}
-        ui = self.usig.create_ui(content)
+        ui = self.usig.create_ui(
+            Prepare.content_digest_of(self.view, sequence, request.payload_digest)
+        )
         prepare = Prepare(
             view=self.view,
             sequence=sequence,
@@ -275,7 +257,7 @@ class MinBFTReplica:
                 sequence=sequence,
                 request=request,
                 leader_id=self.replica_id,
-                ui=self.usig.create_ui({"garbage": self._rng.integers(1 << 30)}),
+                ui=self.usig.create_ui(digest({"garbage": self._rng.integers(1 << 30)})),
             )
         for destination in self.membership:
             if destination != self.replica_id:
@@ -287,12 +269,7 @@ class MinBFTReplica:
             return
         if prepare.leader_id != self.leader_of(prepare.view):
             return
-        content = {
-            "view": prepare.view,
-            "sequence": prepare.sequence,
-            "request": _request_digest(prepare.request),
-        }
-        if not self.verifier.verify(content, prepare.ui, enforce_order=False):
+        if not self.verifier.verify(prepare.content_digest, prepare.ui, enforce_order=False):
             return
         self.pending_client_requests.setdefault(prepare.request.identifier, (prepare.request, tick))
         self._accept_prepare(prepare)
@@ -309,15 +286,12 @@ class MinBFTReplica:
         self._send_commit(prepare, corrupt=False)
 
     def _send_commit(self, prepare: Prepare, corrupt: bool) -> None:
-        request_digest = _request_digest(prepare.request)
+        request_digest = prepare.request.payload_digest
         if corrupt:
             request_digest = digest({"corrupted": self._rng.integers(1 << 30)})
-        content = {
-            "view": prepare.view,
-            "sequence": prepare.sequence,
-            "digest": request_digest,
-        }
-        ui = self.usig.create_ui(content)
+        ui = self.usig.create_ui(
+            Commit.content_digest_of(prepare.view, prepare.sequence, request_digest)
+        )
         commit = Commit(
             view=prepare.view,
             sequence=prepare.sequence,
@@ -335,15 +309,10 @@ class MinBFTReplica:
         del tick
         if commit.view != self.view:
             return
-        content = {
-            "view": commit.view,
-            "sequence": commit.sequence,
-            "digest": commit.request_digest,
-        }
-        if not self.verifier.verify(content, commit.ui, enforce_order=False):
+        if not self.verifier.verify(commit.content_digest, commit.ui, enforce_order=False):
             return
         prepare = self.prepare_log.get(commit.sequence)
-        if prepare is not None and commit.request_digest != _request_digest(prepare.request):
+        if prepare is not None and commit.request_digest != prepare.request.payload_digest:
             return  # Corrupted commit from a Byzantine replica.
         self._register_commit(commit)
 
@@ -363,7 +332,7 @@ class MinBFTReplica:
             # toward the quorum: votes for a corrupted digest accumulate
             # under their own key and never reach f + 1.
             votes = self.commit_votes.get(
-                (next_sequence, _request_digest(prepare.request)), set()
+                (next_sequence, prepare.request.payload_digest), set()
             )
             if len(votes) < self.quorum_size:
                 return
@@ -400,12 +369,13 @@ class MinBFTReplica:
     # -- checkpoints -------------------------------------------------------------------
     def _send_checkpoint(self) -> None:
         state_digest = self.state_machine.state_digest()
-        content = {"sequence": self.executed_sequence, "digest": state_digest}
         checkpoint = Checkpoint(
             sequence=self.executed_sequence,
             state_digest=state_digest,
             replica_id=self.replica_id,
-            ui=self.usig.create_ui(content),
+            ui=self.usig.create_ui(
+                Checkpoint.content_digest_of(self.executed_sequence, state_digest)
+            ),
         )
         for destination in self.membership:
             if destination != self.replica_id:
@@ -413,8 +383,9 @@ class MinBFTReplica:
         self._register_checkpoint(checkpoint)
 
     def _handle_checkpoint(self, checkpoint: Checkpoint) -> None:
-        content = {"sequence": checkpoint.sequence, "digest": checkpoint.state_digest}
-        if not self.verifier.verify(content, checkpoint.ui, enforce_order=False):
+        if not self.verifier.verify(
+            checkpoint.content_digest, checkpoint.ui, enforce_order=False
+        ):
             return
         self._register_checkpoint(checkpoint)
 
@@ -463,17 +434,15 @@ class MinBFTReplica:
 
     def _start_view_change(self, new_view: int) -> None:
         self.in_view_change = True
-        content = {
-            "new_view": new_view,
-            "last_executed": self.executed_sequence,
-            "checkpoint": self.state_machine.state_digest(),
-        }
+        state_digest = self.state_machine.state_digest()
         message = ViewChange(
             new_view=new_view,
             last_executed=self.executed_sequence,
             replica_id=self.replica_id,
-            checkpoint_digest=self.state_machine.state_digest(),
-            ui=self.usig.create_ui(content),
+            checkpoint_digest=state_digest,
+            ui=self.usig.create_ui(
+                ViewChange.content_digest_of(new_view, self.executed_sequence, state_digest)
+            ),
         )
         for destination in self.membership:
             if destination != self.replica_id:
@@ -481,12 +450,7 @@ class MinBFTReplica:
         self._register_view_change(message)
 
     def _handle_view_change(self, message: ViewChange) -> None:
-        content = {
-            "new_view": message.new_view,
-            "last_executed": message.last_executed,
-            "checkpoint": message.checkpoint_digest,
-        }
-        if not self.verifier.verify(content, message.ui, enforce_order=False):
+        if not self.verifier.verify(message.content_digest, message.ui, enforce_order=False):
             return
         self._register_view_change(message)
 
@@ -503,17 +467,15 @@ class MinBFTReplica:
                 self._announce_new_view(message.new_view)
 
     def _announce_new_view(self, view: int) -> None:
-        content = {
-            "view": view,
-            "membership": tuple(self.membership),
-            "starting_sequence": self.executed_sequence,
-        }
+        membership = tuple(self.membership)
         new_view = NewView(
             view=view,
             leader_id=self.replica_id,
-            membership=tuple(self.membership),
+            membership=membership,
             starting_sequence=self.executed_sequence,
-            ui=self.usig.create_ui(content),
+            ui=self.usig.create_ui(
+                NewView.content_digest_of(view, membership, self.executed_sequence)
+            ),
         )
         for destination in self.membership:
             if destination != self.replica_id:
@@ -521,12 +483,7 @@ class MinBFTReplica:
         self._apply_new_view(new_view)
 
     def _handle_new_view(self, message: NewView) -> None:
-        content = {
-            "view": message.view,
-            "membership": message.membership,
-            "starting_sequence": message.starting_sequence,
-        }
-        if not self.verifier.verify(content, message.ui, enforce_order=False):
+        if not self.verifier.verify(message.content_digest, message.ui, enforce_order=False):
             return
         if message.leader_id != sorted(message.membership)[message.view % len(message.membership)]:
             return
@@ -630,17 +587,14 @@ class MinBFTReplica:
             if not (leader_removed and successor == self.replica_id):
                 # Followers update their local membership lazily via NEW-VIEW.
                 return
-        content = {
-            "view": new_view,
-            "membership": new_membership,
-            "starting_sequence": self.executed_sequence,
-        }
         announcement = NewView(
             view=new_view,
             leader_id=sorted(new_membership)[new_view % len(new_membership)],
             membership=new_membership,
             starting_sequence=self.executed_sequence,
-            ui=self.usig.create_ui(content),
+            ui=self.usig.create_ui(
+                NewView.content_digest_of(new_view, new_membership, self.executed_sequence)
+            ),
         )
         targets = set(new_membership) | set(self.membership)
         for destination in targets:

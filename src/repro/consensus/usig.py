@@ -13,15 +13,24 @@ hybrid failure model.  This module simulates the service: the tamper-proof
 property is modelled by keeping the counter and the signing secret inside
 the :class:`USIG` object, which the Byzantine-behaviour code in the
 emulation never touches directly.
+
+Like a real USIG, the service certifies a message *digest*: callers pass the
+digest of the content to certify (protocol messages compute theirs once,
+see :mod:`repro.consensus.messages`), and the verifier compares it with the
+one the UI was issued for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .crypto import KeyPair, KeyRegistry, Signature, digest
+from .crypto import FlatLayout, KeyPair, KeyRegistry, Signature
 
 __all__ = ["UniqueIdentifier", "USIG", "USIGVerifier"]
+
+#: The signed payload of a UI: ``{"replica", "counter", "digest"}``.
+_UI_PAYLOAD = FlatLayout("replica", "counter", "digest")
 
 
 @dataclass(frozen=True)
@@ -32,6 +41,16 @@ class UniqueIdentifier:
     counter: int
     message_digest: str
     signature: Signature
+
+    @cached_property
+    def payload_bytes(self) -> bytes:
+        """Canonical bytes of the signed payload, encoded once per instance.
+
+        A UI reaches every replica as the same object, so the ``n - 1``
+        receivers share one encoding; each still computes its own HMAC over
+        it.  Altering a field builds a new instance, which encodes afresh.
+        """
+        return _UI_PAYLOAD.encode(self.replica_id, self.counter, self.message_digest)
 
 
 class USIG:
@@ -56,15 +75,10 @@ class USIG:
         """Value of the last assigned counter (0 when none assigned yet)."""
         return self._counter
 
-    def create_ui(self, message: object) -> UniqueIdentifier:
-        """Assign the next counter value to ``message`` and certify it."""
+    def create_ui(self, message_digest: str) -> UniqueIdentifier:
+        """Assign the next counter value to ``message_digest`` and certify it."""
         self._counter += 1
-        message_digest = digest(message)
-        payload = {
-            "replica": self.replica_id,
-            "counter": self._counter,
-            "digest": message_digest,
-        }
+        payload = _UI_PAYLOAD.encode(self.replica_id, self._counter, message_digest)
         signature = self._key.sign(payload)
         return UniqueIdentifier(
             replica_id=self.replica_id,
@@ -87,17 +101,19 @@ class USIGVerifier:
         self._registry = registry
         self._last_seen: dict[str, int] = {}
 
-    def verify(self, message: object, ui: UniqueIdentifier, enforce_order: bool = True) -> bool:
-        payload = {
-            "replica": ui.replica_id,
-            "counter": ui.counter,
-            "digest": ui.message_digest,
-        }
+    def verify(
+        self, message_digest: str, ui: UniqueIdentifier, enforce_order: bool = True
+    ) -> bool:
+        """Check ``ui``'s signature and that it certifies ``message_digest``.
+
+        The HMAC is computed on every call; only the canonical bytes it runs
+        over are shared between receivers of the same UI.
+        """
         if ui.signature.signer != f"usig:{ui.replica_id}":
             return False
-        if not self._registry.verify(payload, ui.signature):
+        if not self._registry.verify(ui.payload_bytes, ui.signature):
             return False
-        if digest(message) != ui.message_digest:
+        if message_digest != ui.message_digest:
             return False
         if enforce_order:
             expected = self._last_seen.get(ui.replica_id, 0) + 1

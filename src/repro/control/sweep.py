@@ -25,6 +25,7 @@ from ..core.node_model import NodeParameters
 from ..core.observation import ObservationModel
 from ..core.strategies import RecoveryStrategy, ReplicationStrategy
 from ..sim import BatchRecoveryEngine, BatchSimulationResult, FleetScenario
+from ..sim.seeding import resolve_entropy
 from ..sim.strategies import BatchStrategy
 from .two_level import TwoLevelController, TwoLevelResult
 
@@ -125,7 +126,10 @@ def engine_fleet_sweep(
 
     For every initial size ``n1`` an ``n1``-node scenario is compiled once
     and every strategy is evaluated on ``num_episodes`` batched episodes
-    with common random numbers.  ``node_params``/``observation_model``
+    with common random numbers: the size's uniform buffers are drawn once
+    and shared by its strategies, without entering the engine's memo, so a
+    sweep over fresh seeds does not pin old buffers (``seed=None`` draws
+    one fresh root for the whole sweep).  ``node_params``/``observation_model``
     accept either one shared value or a per-node sequence of length ``n1``
     (the latter only when a single ``n1`` is swept, since the sequence must
     match the fleet size).  ``n_jobs > 1`` shards the episodes across
@@ -151,11 +155,18 @@ def engine_fleet_sweep(
         return parallel_engine_sweep_table(
             scenarios, strategies, num_episodes, seed, n_jobs
         )
+    if num_episodes < 1:
+        raise ValueError("num_episodes must be >= 1")
+    root = resolve_entropy(seed)
     table: dict[tuple[int, str], BatchSimulationResult] = {}
     for n1, scenario in scenarios:
         engine = BatchRecoveryEngine(scenario)
+        uniforms = engine.draw_uniforms(root, num_episodes, memoize=False)
+        adversary_uniforms = engine.draw_adversary_uniforms(root, num_episodes)
         for name, strategy in strategies.items():
-            table[(n1, name)] = engine.run(strategy, num_episodes=num_episodes, seed=seed)
+            table[(n1, name)] = engine.run(
+                strategy, uniforms=uniforms, adversary_uniforms=adversary_uniforms
+            )
     return table
 
 

@@ -313,7 +313,11 @@ class BatchRecoveryEngine:
 
     # -- randomness -------------------------------------------------------------
     def draw_uniforms(
-        self, seed: SeedMembers | int | None, num_episodes: int | None = None
+        self,
+        seed: SeedMembers | int | None,
+        num_episodes: int | None = None,
+        *,
+        memoize: bool = True,
     ) -> np.ndarray:
         """Pre-generate the uniform buffer, shape ``(B, N, 2 * horizon)``.
 
@@ -334,13 +338,14 @@ class BatchRecoveryEngine:
         cache (the buffer is a pure function of ``(seed, B, N, width)`` and
         the engine never writes into it), so common-random-number loops
         that rebuild engines per candidate stop regenerating identical
-        gigastreams.
+        gigastreams.  ``memoize=False`` bypasses the memo for a caller that
+        holds the buffer itself and would never look it up again.
         """
         members = _members(seed, num_episodes)
         num_nodes = self.scenario.num_nodes
         width = 2 * self.scenario.horizon
         key = None
-        if len(members) == 1 and members[0][0] is not None:
+        if memoize and len(members) == 1 and members[0][0] is not None:
             key = (members[0][0], members[0][1], num_nodes, width)
             cached = _UNIFORM_CACHE.get(key)
             if cached is not None:

@@ -239,7 +239,6 @@ class TestCommitQuorumKeying:
 
     def test_corrupted_commit_before_prepare_does_not_reach_quorum(self):
         from repro.consensus import Commit
-        from repro.consensus.minbft import _request_digest
 
         cluster = MinBFTCluster(num_replicas=4, seed=11)
         client = MinBFTClient("client-0", cluster)
@@ -258,21 +257,20 @@ class TestCommitQuorumKeying:
         # its own (real) USIG, delivered to the target BEFORE the Prepare —
         # the digest cross-check against the prepare log cannot run yet.
         bad_digest = "ff" * 32
-        content = {"view": 0, "sequence": 1, "digest": bad_digest}
         corrupted = Commit(
             view=0,
             sequence=1,
             request_digest=bad_digest,
             replica_id="replica-1",
             prepare_ui=prepare.ui,
-            ui=byzantine.usig.create_ui(content),
+            ui=byzantine.usig.create_ui(Commit.content_digest_of(0, 1, bad_digest)),
         )
         target.on_message("replica-1", corrupted, 0)
         target.on_message("replica-0", prepare, 0)
 
         # The target's own COMMIT is its only vote for the honest digest
         # (quorum is f + 1 = 2): the corrupted vote must not fill the gap.
-        honest_votes = target.commit_votes[(1, _request_digest(request))]
+        honest_votes = target.commit_votes[(1, request.payload_digest)]
         assert honest_votes == {"replica-2"}
         assert target.executed_sequence == 0
         assert target.state_machine.executed_requests() == ()
