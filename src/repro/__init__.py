@@ -46,11 +46,21 @@ Quickstart::
     model = BetaBinomialObservationModel()
     solution = solve_recovery_problem(params, model, CrossEntropyMethod(), seed=0)
     print(solution.strategy.thresholds, solution.estimated_cost)
+
+Import layering.  ``import repro`` loads none of the subpackages: each is
+imported on first attribute access (``repro.sim``) or by an explicit
+``import repro.sim``, and a subpackage loads only the layers below it (see
+``docs/architecture.md``).  SciPy is imported inside the functions that
+use it, so a caller pays at import time only for what it uses.
 """
 
-from . import consensus, control, core, emulation, envs, serve, sim, solvers
+import importlib
 
-__version__ = "1.14.0"
+__version__ = "1.15.0"
+
+_SUBPACKAGES = frozenset(
+    {"consensus", "control", "core", "emulation", "envs", "serve", "sim", "solvers"}
+)
 
 __all__ = [
     "consensus",
@@ -63,3 +73,13 @@ __all__ = [
     "solvers",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name in _SUBPACKAGES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _SUBPACKAGES)

@@ -23,6 +23,14 @@ fields; ``dataclasses.replace`` constructs anew), whose digest is computed
 from its own fields, so the cache cannot carry a stale digest over to it.
 A request ``value`` that is a mutable container must not be mutated once
 the request is built: its bytes are encoded once, like every other field.
+
+Every message a replica handles also has a ``well_formed`` property,
+cached the same way: whether each field a handler reads has the type the
+protocol gives it (ids and digests ``str``, views and sequence numbers
+``int``, signatures of their own class).  A replica drops a message that
+is not well formed before it reads any field, and ``USIGVerifier.verify``
+rejects a UI that is not one, so a Byzantine sender's list-typed sequence
+or missing signature is rejected like a forged one instead of raising.
 """
 
 from __future__ import annotations
@@ -56,6 +64,23 @@ _CHECKPOINT_CONTENT = FlatLayout("sequence", "digest")
 _VIEW_CHANGE_CONTENT = FlatLayout("new_view", "last_executed", "checkpoint")
 
 
+def _well_formed_signature(value: object) -> bool:
+    """``None`` (unsigned) or a :class:`Signature` whose signer and tag are ``str``."""
+    return value is None or (
+        type(value) is Signature and type(value.signer) is str and type(value.tag) is str
+    )
+
+
+def _is_identifier(value: object) -> bool:
+    """A request identifier ``(client_id, request_id)``."""
+    return (
+        type(value) is tuple
+        and len(value) == 2
+        and type(value[0]) is str
+        and type(value[1]) is int
+    )
+
+
 @dataclass(frozen=True)
 class ClientRequest:
     """A signed client request (read or write) with a unique identifier."""
@@ -83,6 +108,23 @@ class ClientRequest:
         """SHA-256 of :attr:`payload_bytes`: the request digest PREPAREs and COMMITs carry."""
         return digest(self.payload_bytes)
 
+    @cached_property
+    def well_formed(self) -> bool:
+        if not (
+            type(self.client_id) is str
+            and type(self.request_id) is int
+            and type(self.operation) is str
+            and type(self.key) is str
+        ):
+            return False
+        if not _well_formed_signature(self.signature):
+            return False
+        try:
+            self.payload_bytes  # a value json.dumps cannot encode
+        except (TypeError, ValueError, RecursionError):
+            return False
+        return True
+
 
 @dataclass(frozen=True)
 class Prepare:
@@ -102,6 +144,16 @@ class Prepare:
     @cached_property
     def content_digest(self) -> str:
         return self.content_digest_of(self.view, self.sequence, self.request.payload_digest)
+
+    @cached_property
+    def well_formed(self) -> bool:
+        return (
+            type(self.view) is int
+            and type(self.sequence) is int
+            and type(self.leader_id) is str
+            and type(self.request) is ClientRequest
+            and self.request.well_formed
+        )
 
 
 @dataclass(frozen=True)
@@ -123,6 +175,15 @@ class Commit:
     @cached_property
     def content_digest(self) -> str:
         return self.content_digest_of(self.view, self.sequence, self.request_digest)
+
+    @cached_property
+    def well_formed(self) -> bool:
+        return (
+            type(self.view) is int
+            and type(self.sequence) is int
+            and type(self.request_digest) is str
+            and type(self.replica_id) is str
+        )
 
 
 @dataclass(frozen=True)
@@ -155,6 +216,14 @@ class Checkpoint:
     def content_digest(self) -> str:
         return self.content_digest_of(self.sequence, self.state_digest)
 
+    @cached_property
+    def well_formed(self) -> bool:
+        return (
+            type(self.sequence) is int
+            and type(self.state_digest) is str
+            and type(self.replica_id) is str
+        )
+
 
 @dataclass(frozen=True)
 class ViewChange:
@@ -174,6 +243,15 @@ class ViewChange:
     @cached_property
     def content_digest(self) -> str:
         return self.content_digest_of(self.new_view, self.last_executed, self.checkpoint_digest)
+
+    @cached_property
+    def well_formed(self) -> bool:
+        return (
+            type(self.new_view) is int
+            and type(self.last_executed) is int
+            and type(self.replica_id) is str
+            and type(self.checkpoint_digest) is str
+        )
 
 
 @dataclass(frozen=True)
@@ -199,6 +277,17 @@ class NewView:
     def content_digest(self) -> str:
         return self.content_digest_of(self.view, self.membership, self.starting_sequence)
 
+    @cached_property
+    def well_formed(self) -> bool:
+        return (
+            type(self.view) is int
+            and type(self.starting_sequence) is int
+            and type(self.leader_id) is str
+            and type(self.membership) is tuple
+            and len(self.membership) > 0
+            and all(type(replica_id) is str for replica_id in self.membership)
+        )
+
 
 @dataclass(frozen=True)
 class StateTransferRequest:
@@ -206,6 +295,10 @@ class StateTransferRequest:
 
     replica_id: str
     last_executed: int
+
+    @cached_property
+    def well_formed(self) -> bool:
+        return type(self.replica_id) is str and type(self.last_executed) is int
 
 
 @dataclass(frozen=True)
@@ -218,6 +311,33 @@ class StateTransferResponse:
     state_digest: str
     executed_requests: tuple[tuple[str, int], ...]
 
+    @cached_property
+    def well_formed(self) -> bool:
+        """The fields a vote reads; :meth:`state_well_formed` checks the rest."""
+        return (
+            type(self.replica_id) is str
+            and type(self.last_executed) is int
+            and type(self.state_digest) is str
+        )
+
+    def state_well_formed(self) -> bool:
+        """Whether the snapshot and history have the layout a replica restores.
+
+        Checked only when the response is about to be adopted: it is linear
+        in the history, and most responses are only counted as votes.
+        """
+        snapshot = self.state_snapshot
+        return (
+            type(self.executed_requests) is tuple
+            and all(map(_is_identifier, self.executed_requests))
+            and type(snapshot) is dict
+            and type(snapshot.get("store")) is dict
+            and type(snapshot.get("applied")) is list
+            and all(map(_is_identifier, snapshot["applied"]))
+            and type(snapshot.get("last_sequence")) is int
+            and type(snapshot.get("history_digest", "")) is str
+        )
+
 
 @dataclass(frozen=True)
 class JoinRequest:
@@ -227,6 +347,14 @@ class JoinRequest:
     issued_by: str
     signature: Signature | None = None
 
+    @cached_property
+    def well_formed(self) -> bool:
+        return (
+            type(self.new_replica_id) is str
+            and type(self.issued_by) is str
+            and _well_formed_signature(self.signature)
+        )
+
 
 @dataclass(frozen=True)
 class EvictRequest:
@@ -235,6 +363,14 @@ class EvictRequest:
     replica_id: str
     issued_by: str
     signature: Signature | None = None
+
+    @cached_property
+    def well_formed(self) -> bool:
+        return (
+            type(self.replica_id) is str
+            and type(self.issued_by) is str
+            and _well_formed_signature(self.signature)
+        )
 
 
 @dataclass(frozen=True)

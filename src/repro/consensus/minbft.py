@@ -102,7 +102,7 @@ class MinBFTReplica:
         self.config = config if config is not None else MinBFTConfig()
         self.network = network
         self.registry = registry
-        self.membership: list[str] = sorted(membership)
+        self.membership = sorted(membership)
         self.view = 0
         self.usig = USIG(replica_id, registry)
         self.verifier = USIGVerifier(registry)
@@ -127,6 +127,11 @@ class MinBFTReplica:
         self.known_sequence = 0
         self._last_state_request_tick = 0
         self.prepare_log: dict[int, Prepare] = {}
+        #: Request identifier -> number of ``prepare_log`` entries holding
+        #: it (after a view change one request can sit at two sequences),
+        #: kept in step with the log by ``_accept_prepare`` and
+        #: ``_drop_prepare`` so ``_send_prepare`` needs no log scan.
+        self.prepared_requests: dict[tuple[str, int], int] = {}
         self.commit_votes: dict[tuple[int, str], set[str]] = defaultdict(set)
         self.executed_sequence = 0
         self.pending_client_requests: dict[tuple[str, int], tuple[ClientRequest, int]] = {}
@@ -155,21 +160,25 @@ class MinBFTReplica:
 
     # -- roles ---------------------------------------------------------------------
     @property
+    def membership(self) -> list[str]:
+        """Sorted replica ids of the group; assigning it recomputes the quorum."""
+        return self._membership
+
+    @membership.setter
+    def membership(self, replica_ids: list[str]) -> None:
+        self._membership = replica_ids
+        #: Tolerance threshold of the hybrid model, ``f = (N - 1 - k) / 2``.
+        self.f = max((len(replica_ids) - 1 - self.config.k) // 2, 0)
+        #: Commit quorum: ``f + 1`` matching COMMITs suffice under hybrid failures.
+        self.quorum_size = self.f + 1
+
+    @property
     def num_replicas(self) -> int:
-        return len(self.membership)
-
-    @property
-    def f(self) -> int:
-        """Tolerance threshold of the hybrid model, ``f = (N - 1 - k) / 2``."""
-        return max((self.num_replicas - 1 - self.config.k) // 2, 0)
-
-    @property
-    def quorum_size(self) -> int:
-        """Commit quorum: ``f + 1`` matching COMMITs suffice under hybrid failures."""
-        return self.f + 1
+        return len(self._membership)
 
     def leader_of(self, view: int) -> str:
-        return self.membership[view % self.num_replicas]
+        membership = self._membership
+        return membership[view % len(membership)]
 
     @property
     def is_leader(self) -> bool:
@@ -190,26 +199,11 @@ class MinBFTReplica:
     def on_message(self, sender: str, payload: object, tick: int) -> None:
         if self.byzantine is ByzantineBehavior.SILENT:
             return
-        if isinstance(payload, ClientRequest):
-            self._handle_request(payload, tick)
-        elif isinstance(payload, Prepare):
-            self._handle_prepare(payload, tick)
-        elif isinstance(payload, Commit):
-            self._handle_commit(payload, tick)
-        elif isinstance(payload, ViewChange):
-            self._handle_view_change(payload)
-        elif isinstance(payload, NewView):
-            self._handle_new_view(payload)
-        elif isinstance(payload, Checkpoint):
-            self._handle_checkpoint(payload)
-        elif isinstance(payload, StateTransferRequest):
-            self._handle_state_request(payload)
-        elif isinstance(payload, StateTransferResponse):
-            self._handle_state_response(payload)
-        elif isinstance(payload, JoinRequest):
-            self._handle_join(payload)
-        elif isinstance(payload, EvictRequest):
-            self._handle_evict(payload)
+        handler = self._HANDLERS.get(type(payload))
+        # Drop what is not a MinBFT message, and a message with a field of
+        # the wrong type (Byzantine input) before any handler reads it.
+        if handler is not None and payload.well_formed:
+            handler(self, payload, tick)
 
     # -- normal case -----------------------------------------------------------------
     def _handle_request(self, request: ClientRequest, tick: int) -> None:
@@ -231,10 +225,7 @@ class MinBFTReplica:
             self._send_prepare(request)
 
     def _send_prepare(self, request: ClientRequest) -> None:
-        already_prepared = any(
-            p.request.identifier == request.identifier for p in self.prepare_log.values()
-        )
-        if already_prepared:
+        if request.identifier in self.prepared_requests:
             return
         self.next_sequence = (
             max(self.next_sequence, self.executed_sequence, self.known_sequence) + 1
@@ -279,6 +270,8 @@ class MinBFTReplica:
         if prepare.sequence in self.prepare_log:
             return
         self.prepare_log[prepare.sequence] = prepare
+        identifier = prepare.request.identifier
+        self.prepared_requests[identifier] = self.prepared_requests.get(identifier, 0) + 1
         if not self._acting_correctly():
             if self.byzantine is ByzantineBehavior.ARBITRARY:
                 self._send_commit(prepare, corrupt=True)
@@ -331,9 +324,7 @@ class MinBFTReplica:
             # Only COMMITs matching the prepared request's digest count
             # toward the quorum: votes for a corrupted digest accumulate
             # under their own key and never reach f + 1.
-            votes = self.commit_votes.get(
-                (next_sequence, prepare.request.payload_digest), set()
-            )
+            votes = self.commit_votes.get((next_sequence, prepare.request.payload_digest), ())
             if len(votes) < self.quorum_size:
                 return
             if not self._acting_correctly():
@@ -382,7 +373,7 @@ class MinBFTReplica:
                 self.network.send(self.replica_id, destination, checkpoint)
         self._register_checkpoint(checkpoint)
 
-    def _handle_checkpoint(self, checkpoint: Checkpoint) -> None:
+    def _handle_checkpoint(self, checkpoint: Checkpoint, tick: int) -> None:
         if not self.verifier.verify(
             checkpoint.content_digest, checkpoint.ui, enforce_order=False
         ):
@@ -397,10 +388,17 @@ class MinBFTReplica:
                 self.last_checkpoint_sequence = checkpoint.sequence
                 self._garbage_collect(checkpoint.sequence)
 
+    def _drop_prepare(self, sequence: int) -> None:
+        identifier = self.prepare_log.pop(sequence).request.identifier
+        remaining = self.prepared_requests[identifier] - 1
+        if remaining:
+            self.prepared_requests[identifier] = remaining
+        else:
+            del self.prepared_requests[identifier]
+
     def _garbage_collect(self, stable_sequence: int) -> None:
-        for sequence in list(self.prepare_log):
-            if sequence <= stable_sequence:
-                del self.prepare_log[sequence]
+        for sequence in [seq for seq in self.prepare_log if seq <= stable_sequence]:
+            self._drop_prepare(sequence)
         for key in list(self.commit_votes):
             if key[0] <= stable_sequence:
                 del self.commit_votes[key]
@@ -449,7 +447,7 @@ class MinBFTReplica:
                 self.network.send(self.replica_id, destination, message)
         self._register_view_change(message)
 
-    def _handle_view_change(self, message: ViewChange) -> None:
+    def _handle_view_change(self, message: ViewChange, tick: int) -> None:
         if not self.verifier.verify(message.content_digest, message.ui, enforce_order=False):
             return
         self._register_view_change(message)
@@ -482,7 +480,7 @@ class MinBFTReplica:
                 self.network.send(self.replica_id, destination, new_view)
         self._apply_new_view(new_view)
 
-    def _handle_new_view(self, message: NewView) -> None:
+    def _handle_new_view(self, message: NewView, tick: int) -> None:
         if not self.verifier.verify(message.content_digest, message.ui, enforce_order=False):
             return
         if message.leader_id != sorted(message.membership)[message.view % len(message.membership)]:
@@ -499,9 +497,8 @@ class MinBFTReplica:
         self.view_change_votes = defaultdict(set)
         # Drop uncommitted protocol state from older views; pending client
         # requests are re-proposed by the new leader.
-        self.prepare_log = {
-            seq: prep for seq, prep in self.prepare_log.items() if seq <= self.executed_sequence
-        }
+        for sequence in [seq for seq in self.prepare_log if seq > self.executed_sequence]:
+            self._drop_prepare(sequence)
         self.commit_votes = defaultdict(set, {
             key: votes for key, votes in self.commit_votes.items()
             if key[0] <= self.executed_sequence
@@ -521,7 +518,7 @@ class MinBFTReplica:
             if destination != self.replica_id:
                 self.network.send(self.replica_id, destination, request)
 
-    def _handle_state_request(self, request: StateTransferRequest) -> None:
+    def _handle_state_request(self, request: StateTransferRequest, tick: int) -> None:
         if not self._acting_correctly():
             return
         snapshot = self.state_machine.snapshot()
@@ -534,13 +531,14 @@ class MinBFTReplica:
         )
         self.network.send(self.replica_id, request.replica_id, response)
 
-    def _handle_state_response(self, response: StateTransferResponse) -> None:
+    def _handle_state_response(self, response: StateTransferResponse, tick: int) -> None:
         # Adopt a state that is ahead of ours and confirmed by f + 1 replicas.
         key = ("state", response.last_executed, response.state_digest)
         self.checkpoint_votes[key].add(response.replica_id)
         if (
             len(self.checkpoint_votes[key]) >= self.quorum_size
             and response.last_executed > self.executed_sequence
+            and response.state_well_formed()
         ):
             self.state_machine.restore(response.state_snapshot)
             self.executed_sequence = response.last_executed
@@ -549,14 +547,14 @@ class MinBFTReplica:
             self.next_sequence = max(self.executed_sequence, self.known_sequence)
 
     # -- reconfiguration ----------------------------------------------------------------------
-    def _handle_join(self, request: JoinRequest) -> None:
+    def _handle_join(self, request: JoinRequest, tick: int) -> None:
         if request.new_replica_id in self.membership:
             return
         new_membership = tuple(sorted(self.membership + [request.new_replica_id]))
         self._reconfigure(new_membership, kind="join", subject=request.new_replica_id,
                           reply_to=request.issued_by)
 
-    def _handle_evict(self, request: EvictRequest) -> None:
+    def _handle_evict(self, request: EvictRequest, tick: int) -> None:
         if request.replica_id not in self.membership:
             return
         remaining = [r for r in self.membership if r != request.replica_id]
@@ -609,6 +607,20 @@ class MinBFTReplica:
             sender_id=self.replica_id,
         )
         self.network.send(self.replica_id, reply_to, reply)
+
+    #: Message type -> handler (exact types: one lookup per delivered message).
+    _HANDLERS = {
+        ClientRequest: _handle_request,
+        Prepare: _handle_prepare,
+        Commit: _handle_commit,
+        ViewChange: _handle_view_change,
+        NewView: _handle_new_view,
+        Checkpoint: _handle_checkpoint,
+        StateTransferRequest: _handle_state_request,
+        StateTransferResponse: _handle_state_response,
+        JoinRequest: _handle_join,
+        EvictRequest: _handle_evict,
+    }
 
 
 class MinBFTCluster:
@@ -731,6 +743,7 @@ class MinBFTCluster:
         replica.reply_cache = {}
         replica.next_sequence = 0
         replica.prepare_log = {}
+        replica.prepared_requests = {}
         replica.commit_votes = defaultdict(set)
         replica.pending_client_requests = {}
         replica.view_change_votes = defaultdict(set)

@@ -107,8 +107,13 @@ class USIGVerifier:
         """Check ``ui``'s signature and that it certifies ``message_digest``.
 
         The HMAC is computed on every call; only the canonical bytes it runs
-        over are shared between receivers of the same UI.
+        over are shared between receivers of the same UI.  Anything that is
+        not a UI carrying a :class:`Signature` (a Byzantine sender's forgery)
+        is rejected, never raised on; a signer or tag of the wrong type
+        fails the signer comparison or :meth:`KeyPair.verify`.
         """
+        if type(ui) is not UniqueIdentifier or type(ui.signature) is not Signature:
+            return False
         if ui.signature.signer != f"usig:{ui.replica_id}":
             return False
         if not self._registry.verify(ui.payload_bytes, ui.signature):

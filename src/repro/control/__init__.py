@@ -92,11 +92,6 @@ from .class_aware import (
     apply_class_deltas,
     optimize_class_deltas,
 )
-from .consensus_loop import (
-    ConsensusBackedFleet,
-    ConsensusLoopResult,
-    ConsensusSafetyError,
-)
 from .parallel import (
     SharedResultStore,
     parallel_closed_loop_table,
@@ -194,3 +189,17 @@ __all__ = [
     "train_ppo_replication",
     "validate_n_jobs",
 ]
+
+
+def __getattr__(name: str):
+    # consensus_loop sits on repro.consensus: its names load on first access,
+    # so that ``import repro.control`` does not load the protocol.
+    if name in ("ConsensusBackedFleet", "ConsensusLoopResult", "ConsensusSafetyError"):
+        from . import consensus_loop
+
+        return getattr(consensus_loop, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -7,10 +7,11 @@ The local level (intrusion recovery, Problem 1) lives in
 the global level (replication control, Problem 2) in
 :mod:`~repro.core.system_model` and :mod:`~repro.core.system_controller`.
 :mod:`~repro.core.architecture` wires both levels onto the consensus and
-emulation substrates.
+emulation substrates; it sits above them, so its two names
+(:class:`ToleranceArchitecture`, :class:`ArchitectureReport`) are loaded on
+first access and ``import repro.core`` loads neither substrate.
 """
 
-from .architecture import ArchitectureReport, ToleranceArchitecture
 from .belief import (
     BeliefFilter,
     BeliefState,
@@ -174,3 +175,15 @@ __all__ = [
     "tolerance_threshold",
     "update_compromise_belief",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("ArchitectureReport", "ToleranceArchitecture"):
+        from . import architecture
+
+        return getattr(architecture, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

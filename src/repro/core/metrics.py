@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .observation import kl_divergence
 
@@ -214,8 +213,15 @@ def confidence_interval(
 
 @functools.lru_cache(maxsize=256)
 def _t_quantile(confidence: float, df: int) -> float:
-    """Two-sided Student-t quantile ``t_{(1 + confidence) / 2, df}``."""
-    return float(stats.t.ppf(0.5 + confidence / 2.0, df))
+    """Two-sided Student-t quantile ``t_{(1 + confidence) / 2, df}``.
+
+    ``special.stdtrit(df, q)`` is the function ``stats.t.ppf`` evaluates,
+    so the result is bit-equal to ``float(stats.t.ppf(q, df))`` without
+    importing ``scipy.stats``.
+    """
+    from scipy import special
+
+    return float(special.stdtrit(df, 0.5 + confidence / 2.0))
 
 
 def summarize_runs(

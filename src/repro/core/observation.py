@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import special, stats
 
 from .node_model import NODE_STATES, NodeState
 
@@ -210,6 +209,8 @@ class BetaBinomialParameters:
     beta: float
 
     def pmf(self) -> np.ndarray:
+        from scipy import special
+
         support = np.arange(self.n)
         return np.array(
             [
@@ -351,6 +352,8 @@ def poisson_observation_model(
     """
     if compromised_rate <= healthy_rate:
         raise ValueError("compromised rate must exceed healthy rate for a useful detector")
+    from scipy import stats
+
     support = np.arange(num_observations)
     healthy = stats.poisson.pmf(support, healthy_rate)
     compromised = stats.poisson.pmf(support, compromised_rate)

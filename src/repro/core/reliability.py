@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .node_model import NodeParameters
 
@@ -57,6 +56,8 @@ def healthy_nodes_transition_matrix(
         raise ValueError("num_nodes must be >= 1")
     if not 0.0 <= per_node_failure_probability <= 1.0:
         raise ValueError("per_node_failure_probability must be a probability")
+    from scipy import stats
+
     size = num_nodes + 1
     matrix = np.zeros((size, size))
     for s in range(size):

@@ -44,7 +44,6 @@ import struct
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats
 
 __all__ = [
     "SystemModel",
@@ -218,6 +217,8 @@ class BinomialSystemModel(SystemModel):
     def _build(
         smax: int, p_fail: float, p_regen: float
     ) -> np.ndarray:
+        from scipy import stats
+
         num_states = smax + 1
         transition = np.zeros((2, num_states, num_states))
         for action in (0, 1):

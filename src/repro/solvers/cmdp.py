@@ -49,7 +49,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from ..core.strategies import (
     ClassTabularReplicationStrategy,
@@ -146,7 +145,9 @@ def _solve_occupancy_lp(
     inequality_matrix = availability_row.reshape(1, -1)
     inequality_rhs = np.array([-model.epsilon_a])
 
-    result = optimize.linprog(
+    from scipy.optimize import linprog
+
+    result = linprog(
         c=objective,
         A_ub=inequality_matrix,
         b_ub=inequality_rhs,

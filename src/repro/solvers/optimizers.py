@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
 import numpy as np
-from scipy import linalg
 
 __all__ = [
     "ObjectiveFunction",
@@ -261,6 +260,8 @@ class BayesianOptimization:
     def optimize(
         self, objective: ObjectiveFunction, dimension: int, seed: int | None = None
     ) -> OptimizationResult:
+        from scipy import linalg
+
         rng = np.random.default_rng(seed)
         observed_x = rng.uniform(0.0, 1.0, size=(self.initial_samples, dimension))
         observed_y = _evaluate_population(objective, observed_x)
