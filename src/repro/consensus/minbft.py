@@ -48,8 +48,8 @@ from .messages import (
     ViewChange,
 )
 from .network import NetworkConfig, SimulatedNetwork
-from .state_machine import KeyValueStateMachine
-from .usig import USIG, USIGVerifier
+from .state_machine import KeyValueStateMachine, snapshot_digest
+from .usig import USIG, UniqueIdentifier, USIGVerifier
 
 __all__ = [
     "ByzantineBehavior",
@@ -84,6 +84,36 @@ class MinBFTConfig:
     checkpoint_interval: int = 10
     view_change_timeout: int = 30
     k: int = 1
+
+
+def _votes_as(message: Commit | Checkpoint | ViewChange, sender: str) -> bool:
+    """Whether a UI-certified vote may count under the replica id it claims.
+
+    The claimed ``replica_id`` must be the network's authenticated sender
+    and the replica whose USIG certified the message: otherwise one
+    Byzantine replica could vote under other replicas' ids (or replay
+    their votes as its own) and fill a quorum alone.
+    """
+    ui = message.ui
+    return (
+        message.replica_id == sender
+        and type(ui) is UniqueIdentifier
+        and ui.replica_id == sender
+    )
+
+
+def _snapshot_matches(response: StateTransferResponse) -> bool:
+    """Whether a STATE response's snapshot is the state its digest names.
+
+    Checked only on adoption: the f + 1 replicas of a quorum agree on the
+    digest, but the snapshot restored is that of the response completing
+    the quorum, which a Byzantine replica may have forged.
+    """
+    snapshot = response.state_snapshot
+    return (
+        response.executed_requests == tuple(snapshot["applied"])
+        and snapshot_digest(snapshot) == response.state_digest
+    )
 
 
 class MinBFTReplica:
@@ -203,10 +233,12 @@ class MinBFTReplica:
         # Drop what is not a MinBFT message, and a message with a field of
         # the wrong type (Byzantine input) before any handler reads it.
         if handler is not None and payload.well_formed:
-            handler(self, payload, tick)
+            handler(self, payload, tick, sender)
 
     # -- normal case -----------------------------------------------------------------
-    def _handle_request(self, request: ClientRequest, tick: int) -> None:
+    def _handle_request(
+        self, request: ClientRequest, tick: int, sender: str | None = None
+    ) -> None:
         if request.identifier in self.executed_request_ids:
             # Retransmission of an executed request: re-send the cached
             # reply (the original may have been lost to a crash or raced a
@@ -255,7 +287,7 @@ class MinBFTReplica:
                 self.network.send(self.replica_id, destination, prepare)
         self._accept_prepare(prepare)
 
-    def _handle_prepare(self, prepare: Prepare, tick: int) -> None:
+    def _handle_prepare(self, prepare: Prepare, tick: int, sender: str) -> None:
         if prepare.view != self.view:
             return
         if prepare.leader_id != self.leader_of(prepare.view):
@@ -298,9 +330,9 @@ class MinBFTReplica:
                 self.network.send(self.replica_id, destination, commit)
         self._register_commit(commit)
 
-    def _handle_commit(self, commit: Commit, tick: int) -> None:
+    def _handle_commit(self, commit: Commit, tick: int, sender: str) -> None:
         del tick
-        if commit.view != self.view:
+        if commit.view != self.view or not _votes_as(commit, sender):
             return
         if not self.verifier.verify(commit.content_digest, commit.ui, enforce_order=False):
             return
@@ -373,8 +405,8 @@ class MinBFTReplica:
                 self.network.send(self.replica_id, destination, checkpoint)
         self._register_checkpoint(checkpoint)
 
-    def _handle_checkpoint(self, checkpoint: Checkpoint, tick: int) -> None:
-        if not self.verifier.verify(
+    def _handle_checkpoint(self, checkpoint: Checkpoint, tick: int, sender: str) -> None:
+        if not _votes_as(checkpoint, sender) or not self.verifier.verify(
             checkpoint.content_digest, checkpoint.ui, enforce_order=False
         ):
             return
@@ -447,8 +479,10 @@ class MinBFTReplica:
                 self.network.send(self.replica_id, destination, message)
         self._register_view_change(message)
 
-    def _handle_view_change(self, message: ViewChange, tick: int) -> None:
-        if not self.verifier.verify(message.content_digest, message.ui, enforce_order=False):
+    def _handle_view_change(self, message: ViewChange, tick: int, sender: str) -> None:
+        if not _votes_as(message, sender) or not self.verifier.verify(
+            message.content_digest, message.ui, enforce_order=False
+        ):
             return
         self._register_view_change(message)
 
@@ -480,7 +514,7 @@ class MinBFTReplica:
                 self.network.send(self.replica_id, destination, new_view)
         self._apply_new_view(new_view)
 
-    def _handle_new_view(self, message: NewView, tick: int) -> None:
+    def _handle_new_view(self, message: NewView, tick: int, sender: str) -> None:
         if not self.verifier.verify(message.content_digest, message.ui, enforce_order=False):
             return
         if message.leader_id != sorted(message.membership)[message.view % len(message.membership)]:
@@ -518,7 +552,9 @@ class MinBFTReplica:
             if destination != self.replica_id:
                 self.network.send(self.replica_id, destination, request)
 
-    def _handle_state_request(self, request: StateTransferRequest, tick: int) -> None:
+    def _handle_state_request(
+        self, request: StateTransferRequest, tick: int, sender: str
+    ) -> None:
         if not self._acting_correctly():
             return
         snapshot = self.state_machine.snapshot()
@@ -531,14 +567,21 @@ class MinBFTReplica:
         )
         self.network.send(self.replica_id, request.replica_id, response)
 
-    def _handle_state_response(self, response: StateTransferResponse, tick: int) -> None:
+    def _handle_state_response(
+        self, response: StateTransferResponse, tick: int, sender: str
+    ) -> None:
         # Adopt a state that is ahead of ours and confirmed by f + 1 replicas.
+        # A STATE response carries no UI: the network's sender is its only
+        # authentication.
+        if response.replica_id != sender:
+            return
         key = ("state", response.last_executed, response.state_digest)
         self.checkpoint_votes[key].add(response.replica_id)
         if (
             len(self.checkpoint_votes[key]) >= self.quorum_size
             and response.last_executed > self.executed_sequence
             and response.state_well_formed()
+            and _snapshot_matches(response)
         ):
             self.state_machine.restore(response.state_snapshot)
             self.executed_sequence = response.last_executed
@@ -547,14 +590,14 @@ class MinBFTReplica:
             self.next_sequence = max(self.executed_sequence, self.known_sequence)
 
     # -- reconfiguration ----------------------------------------------------------------------
-    def _handle_join(self, request: JoinRequest, tick: int) -> None:
+    def _handle_join(self, request: JoinRequest, tick: int, sender: str) -> None:
         if request.new_replica_id in self.membership:
             return
         new_membership = tuple(sorted(self.membership + [request.new_replica_id]))
         self._reconfigure(new_membership, kind="join", subject=request.new_replica_id,
                           reply_to=request.issued_by)
 
-    def _handle_evict(self, request: EvictRequest, tick: int) -> None:
+    def _handle_evict(self, request: EvictRequest, tick: int, sender: str) -> None:
         if request.replica_id not in self.membership:
             return
         remaining = [r for r in self.membership if r != request.replica_id]

@@ -17,7 +17,38 @@ from dataclasses import dataclass
 from .crypto import digest
 from .messages import ClientRequest
 
-__all__ = ["OperationResult", "KeyValueStateMachine"]
+__all__ = ["OperationResult", "KeyValueStateMachine", "snapshot_digest"]
+
+
+def _fold_history(history_digest: str, identifier: tuple[str, int]) -> str:
+    """The rolling history digest after applying ``identifier``."""
+    return hashlib.sha256(
+        f"{history_digest}|{identifier[0]}:{identifier[1]}".encode("utf-8")
+    ).hexdigest()
+
+
+def _state_digest(store: dict, history_digest: str, count: int) -> str:
+    return digest({
+        "store": sorted(store.items(), key=lambda kv: kv[0]),
+        "history": history_digest,
+        "count": count,
+    })
+
+
+def snapshot_digest(snapshot: dict) -> str | None:
+    """The :meth:`~KeyValueStateMachine.state_digest` of a machine restored from ``snapshot``.
+
+    The history digest is recomputed from the snapshot's applied list
+    (linear in the history), so a snapshot whose store or history differs
+    from the state a digest names cannot pass for it.  ``None`` when the
+    snapshot's own ``history_digest`` disagrees with its applied list.
+    """
+    history = ""
+    for identifier in snapshot["applied"]:
+        history = _fold_history(history, identifier)
+    if snapshot.get("history_digest", history) != history:
+        return None
+    return _state_digest(snapshot["store"], history, len(snapshot["applied"]))
 
 
 @dataclass(frozen=True)
@@ -81,9 +112,7 @@ class KeyValueStateMachine:
         return OperationResult(success=True, value=result_value, sequence=sequence)
 
     def _extend_history(self, identifier: tuple[str, int]) -> None:
-        self._history_digest = hashlib.sha256(
-            f"{self._history_digest}|{identifier[0]}:{identifier[1]}".encode("utf-8")
-        ).hexdigest()
+        self._history_digest = _fold_history(self._history_digest, identifier)
 
     # -- introspection ----------------------------------------------------------------
     @property
@@ -105,11 +134,7 @@ class KeyValueStateMachine:
         rather than O(|history|) — checkpointing every ``k`` requests
         stays linear in the run length instead of quadratic.
         """
-        return digest({
-            "store": sorted(self._store.items(), key=lambda kv: kv[0]),
-            "history": self._history_digest,
-            "count": len(self._applied),
-        })
+        return _state_digest(self._store, self._history_digest, len(self._applied))
 
     # -- state transfer -----------------------------------------------------------------
     def snapshot(self) -> dict:

@@ -7,9 +7,11 @@ controller's per-episode streams are independent children of one
 reduction.  This module fans that work out to worker processes:
 
 * **Contiguous episode shards.**  ``num_envs`` episodes are partitioned
-  into ``n_jobs`` contiguous ``[lo, hi)`` shards (:func:`shard_episodes`);
-  each ``(scenario, cell, shard)`` triple is one work item on a process
-  pool, so a grid with more cells than workers keeps every core busy.
+  into contiguous ``[lo, hi)`` shards (:func:`shard_episodes`).  An
+  engine sweep's work item is one ``(scenario, strategy, shard)``
+  triple; a closed-loop sweep's is one ``(scenario group, shard)`` pair,
+  which runs every cell of the group's scenarios as one cohort
+  (:mod:`repro.control.cohort`) over the shard's episodes.
 * **Deterministic per-worker seed subtrees.**  The serial path consumes
   children ``0 .. B*N-1`` of ``SeedSequence(seed)`` for the engine
   (episode-major) and children ``B*N + b`` for episode ``b``'s system
@@ -27,7 +29,8 @@ reduction.  This module fans that work out to worker processes:
   the pool — per-episode logs are never pickled.
 * **Profile merge at join.**  Each shard runs with engine profiling and
   the parent folds the per-shard phase timings into one profile per cell
-  via :meth:`~repro.sim.kernels.EngineProfile.merge`.
+  (per scenario group for the closed-loop cohorts, whose cells share
+  their engine steps) via :meth:`~repro.sim.kernels.EngineProfile.merge`.
 
 ``seed=None`` draws fresh OS entropy once in the parent (the run is
 non-reproducible, matching the serial convention, but all shards still
@@ -54,11 +57,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..sim import BatchRecoveryEngine, BatchSimulationResult, FleetScenario
-from ..sim.adversary import draw_adversary_uniforms
 from ..sim.kernels import EngineProfile
 from ..sim.seeding import resolve_entropy, uniform_streams
-from .two_level import TwoLevelController, TwoLevelResult
-from .vector_system import strategy_consumes_rng
+from .sweep import _per_scenario, _run_cell_cohort, _scenario_groups
+from .two_level import TwoLevelResult
 
 __all__ = [
     "validate_n_jobs",
@@ -234,6 +236,7 @@ class _ClosedLoopSpec:
     """Everything a worker needs to run closed-loop shards (picklable)."""
 
     scenarios: tuple  # ((key, FleetScenario), ...)
+    groups: tuple  # ((scenario_index, ...), ...) of equal scenario keys
     cells: tuple  # (ClosedLoopCell, ...)
     num_envs: int
     k: int
@@ -280,9 +283,9 @@ def _worker_engine(scenario_index: int, scenario: FleetScenario) -> BatchRecover
 def _worker_uniforms(
     entropy: int, lo: int, hi: int, num_nodes: int, width: int
 ) -> np.ndarray:
-    # Keyed by stream geometry, not scenario index: scenarios that share
-    # (N, width) — every n1 of a closed-loop sweep, every intensity of an
-    # attacker sweep — consume identical uniform streams.
+    # Keyed by stream geometry, not scenario index: the strategies of an
+    # engine sweep's scenario, run as consecutive tasks, consume identical
+    # uniform streams.
     memo = _WORKER["uniforms"]
     key = (lo, hi, num_nodes, width)
     uniforms = memo.get(key)
@@ -293,69 +296,32 @@ def _worker_uniforms(
     return uniforms
 
 
-def _shard_adversary_uniforms(
-    engine: BatchRecoveryEngine, entropy: int, lo: int, hi: int
-) -> np.ndarray | None:
-    """Adversary uniform rows for episodes ``[lo, hi)`` of the full batch.
-
-    Rows of the adversary buffer are per-episode streams (salted
-    ``SeedSequence`` per episode, see :mod:`repro.sim.adversary`), so a
-    shard regenerates exactly its own slice of the monolithic draw.  The
-    buffers are small (``(hi - lo, horizon, K)``) and adversary-dependent,
-    so they deliberately bypass the geometry-keyed engine-uniform memo.
-    """
-    if not engine.is_dynamic:
-        return None
-    scenario = engine.scenario
-    return draw_adversary_uniforms(
-        engine.adversary, [(entropy, range(lo, hi))], scenario.num_nodes, scenario.horizon
-    )
-
-
-def _run_closed_loop_shard(task: tuple[int, int, int, int]):
-    scenario_index, cell_index, lo, hi = task
+def _run_closed_loop_shard(task: tuple[int, int, int]):
+    group_index, lo, hi = task
     spec: _ClosedLoopSpec = _WORKER["spec"]
     store: SharedResultStore = _WORKER["store"]
-    key, scenario = spec.scenarios[scenario_index]
-    cell = spec.cells[cell_index]
-    engine = _worker_engine(scenario_index, scenario)
-    uniforms = _worker_uniforms(
-        spec.entropy, lo, hi, scenario.num_nodes, 2 * scenario.horizon
+    indices = spec.groups[group_index]
+    results = _run_cell_cohort(
+        _worker_engine(indices[0], spec.scenarios[indices[0]][1]),
+        [(i, spec.scenarios[i][1]) for i in indices],
+        spec.cells,
+        spec.entropy,
+        spec.k,
+        spec.initial_nodes,
+        range(lo, hi),
+        spec.num_envs,
+        spec.profile,
     )
-    controller = TwoLevelController(
-        scenario,
-        hi - lo,
-        cell.recovery,
-        replication_strategy=cell.replication,
-        initial_nodes=spec.initial_nodes[scenario_index],
-        k=spec.k,
-        enforce_invariant=cell.enforce_invariant,
-        respect_recovery_limit=cell.respect_recovery_limit,
-        engine=engine,
-    )
-    streams = None
-    if cell.replication is not None and strategy_consumes_rng(cell.replication):
-        # The serial run hands child B*N + b to episode b's controller.
-        offset = spec.num_envs * scenario.num_nodes
-        streams = [(spec.entropy, range(offset + lo, offset + hi))]
-    result = controller.run(
-        uniforms=uniforms,
-        system_streams=streams,
-        profile=spec.profile,
-        adversary_uniforms=_shard_adversary_uniforms(engine, spec.entropy, lo, hi),
-    )
-    for metric in _CLOSED_LOOP_METRICS:
-        store.array((scenario_index, cell_index, metric))[lo:hi] = getattr(
-            result, metric
-        )
-    if result.class_average_cost is not None:
-        for label, values in result.class_average_cost.items():
-            store.array((scenario_index, cell_index, "class_cost", label))[lo:hi] = values
-        for label, values in result.class_recovery_frequency.items():
-            store.array((scenario_index, cell_index, "class_recovery", label))[
-                lo:hi
-            ] = values
-    return scenario_index, cell_index, result.steps, result.profile
+    for (i, j), result in results.items():
+        for metric in _CLOSED_LOOP_METRICS:
+            store.array((i, j, metric))[lo:hi] = getattr(result, metric)
+        if result.class_average_cost is not None:
+            for label, values in result.class_average_cost.items():
+                store.array((i, j, "class_cost", label))[lo:hi] = values
+            for label, values in result.class_recovery_frequency.items():
+                store.array((i, j, "class_recovery", label))[lo:hi] = values
+    # Every pair of the cohort shares its horizon and its engine profile.
+    return group_index, result.steps, result.profile
 
 
 def _run_engine_shard(task: tuple[int, int, int, int]):
@@ -372,7 +338,7 @@ def _run_engine_shard(task: tuple[int, int, int, int]):
         strategy,
         uniforms=uniforms,
         profile=spec.profile or None,
-        adversary_uniforms=_shard_adversary_uniforms(engine, spec.entropy, lo, hi),
+        adversary_uniforms=engine.draw_adversary_uniforms([(spec.entropy, range(lo, hi))]),
     )
     for metric in _ENGINE_METRICS:
         store.array((scenario_index, strategy_index, metric))[lo:hi] = getattr(
@@ -413,21 +379,23 @@ def _pool_context():
     return mp.get_context("fork" if "fork" in methods else "spawn")
 
 
-def _plan_shards(num_episodes: int, n_jobs: int, num_pairs: int) -> list[tuple[int, int]]:
-    """Choose the episode-shard count for a grid of ``num_pairs`` cells.
+def _plan_shards(num_episodes: int, n_jobs: int, num_units: int) -> list[tuple[int, int]]:
+    """Choose the episode-shard count for ``num_units`` independent work units.
 
-    Every (scenario, cell) pair is already an independent task, and each
-    episode shard pays the full horizon loop's fixed per-step cost — the
-    vectorized engine's step time is ``c + B * m`` with the constant ``c``
-    dominating at small ``B``.  So episodes are split only as much as
-    needed to keep ``n_jobs`` workers busy: ``ceil(n_jobs / num_pairs)``
-    shards per pair (at least one; capped at ``num_episodes``).  Any shard
-    count yields the bit-identical table — this only decides wall-clock.
+    A unit is a (scenario, strategy) pair of an engine sweep or a scenario
+    group's cohort of a closed-loop sweep; each is already an independent
+    task, and each episode shard pays the full horizon loop's fixed
+    per-step cost — the vectorized engine's step time is ``c + B * m``
+    with the constant ``c`` dominating at small ``B``.  So episodes are
+    split only as much as needed to keep ``n_jobs`` workers busy:
+    ``ceil(n_jobs / num_units)`` shards per unit (at least one; capped at
+    ``num_episodes``).  Any shard count yields the bit-identical table —
+    this only decides wall-clock.
     """
     if n_jobs <= 1:
         return [(0, num_episodes)]
-    per_pair = -(-n_jobs // max(num_pairs, 1))
-    return shard_episodes(num_episodes, per_pair)
+    per_unit = -(-n_jobs // max(num_units, 1))
+    return shard_episodes(num_episodes, per_unit)
 
 
 def _effective_jobs(n_jobs: int, num_tasks: int) -> int:
@@ -446,13 +414,14 @@ def parallel_closed_loop_table(
 ) -> dict:
     """Run a keyed closed-loop sweep grid across worker processes.
 
-    The sharded counterpart of the serial ``_run_cells`` loops in
-    :mod:`repro.control.sweep`: every ``(scenario, cell)`` pair's
-    ``num_envs`` episodes are split into contiguous shards, each shard
-    runs a :class:`~repro.control.two_level.TwoLevelController` over its
-    own seed subtree, per-episode metrics land in shared memory, and the
-    join assembles one :class:`~repro.control.two_level.TwoLevelResult`
-    per pair with the shards' engine profiles merged.  Bit-identical to
+    The sharded counterpart of :mod:`repro.control.sweep`'s serial
+    ``_run_cells``: scenarios are grouped by engine tables, every group's
+    ``num_envs`` episodes are split into contiguous shards, and each
+    (group, shard) task runs all of the group's ``(scenario, cell)``
+    pairs as one cohort (:mod:`repro.control.cohort`) over its own seed
+    subtree.  Per-episode metrics land in shared memory, and the join
+    assembles one :class:`~repro.control.two_level.TwoLevelResult` per
+    pair, carrying its group's shard profiles merged.  Bit-identical to
     the serial table for any ``n_jobs`` under a fixed seed.
     """
     n_jobs = validate_n_jobs(n_jobs)
@@ -460,17 +429,10 @@ def parallel_closed_loop_table(
     cells = tuple(cells)
     if not scenarios or not cells:
         return {}
-    if isinstance(initial_nodes, (list, tuple)):
-        initial = tuple(initial_nodes)
-        if len(initial) != len(scenarios):
-            raise ValueError(
-                f"need one initial_nodes entry per scenario "
-                f"({len(scenarios)}), got {len(initial)}"
-            )
-    else:
-        initial = (initial_nodes,) * len(scenarios)
+    initial = _per_scenario(initial_nodes, len(scenarios))
+    groups = tuple(tuple(indices) for indices in _scenario_groups(scenarios))
     entropy = resolve_root_entropy(seed)
-    shards = _plan_shards(num_envs, n_jobs, len(scenarios) * len(cells))
+    shards = _plan_shards(num_envs, n_jobs, len(groups))
 
     layout: dict = {}
     class_labels: dict[int, list[str]] = {}
@@ -485,16 +447,10 @@ def parallel_closed_loop_table(
                 layout[(i, j, "class_recovery", label)] = ((num_envs,), "<f8")
 
     store = SharedResultStore.allocate(layout)
-    # Shard geometry varies slowest so consecutive tasks on one worker hit
-    # its uniform-buffer memo across cells.
-    tasks = [
-        (i, j, lo, hi)
-        for i in range(len(scenarios))
-        for lo, hi in shards
-        for j in range(len(cells))
-    ]
+    tasks = [(g, lo, hi) for g in range(len(groups)) for lo, hi in shards]
     spec = _ClosedLoopSpec(
         scenarios=scenarios,
+        groups=groups,
         cells=cells,
         num_envs=num_envs,
         k=k,
@@ -505,22 +461,23 @@ def parallel_closed_loop_table(
     )
     try:
         outcomes = _map_tasks(spec, _run_closed_loop_shard, tasks, n_jobs, store)
+        group_of = {i: g for g, indices in enumerate(groups) for i in indices}
+        steps = {g: max(s for gi, s, _ in outcomes if gi == g) for g in range(len(groups))}
+        merged = {
+            g: EngineProfile.merge(*(p for gi, _, p in outcomes if gi == g))
+            for g in range(len(groups))
+        }
         table: dict = {}
         for i, (key, scenario) in enumerate(scenarios):
+            g = group_of[i]
+            labels = class_labels[i]
             for j, cell in enumerate(cells):
-                steps = max(
-                    s for si, sj, s, _ in outcomes if (si, sj) == (i, j)
-                )
-                merged = EngineProfile.merge(
-                    *(p for si, sj, _, p in outcomes if (si, sj) == (i, j))
-                )
-                labels = class_labels[i]
                 table[(key, cell.name)] = TwoLevelResult(
                     **{
                         metric: store.array((i, j, metric)).copy()
                         for metric in _CLOSED_LOOP_METRICS
                     },
-                    steps=steps,
+                    steps=steps[g],
                     class_average_cost=(
                         {
                             label: store.array((i, j, "class_cost", label)).copy()
@@ -537,7 +494,7 @@ def parallel_closed_loop_table(
                         if labels
                         else None
                     ),
-                    profile=merged if profile else None,
+                    profile=merged[g] if profile else None,
                 )
         return table
     finally:

@@ -5,6 +5,9 @@ duplicate: the emulation-testbed cell runner, the node-POMDP batch-engine
 sweep, and the closed-loop two-level sweeps.  All share the cell convention
 (scenario key x strategy name) so a benchmark can print one table across
 backends, and the batched variants share one compiled engine per scenario.
+The closed-loop sweeps run every ``(scenario, cell)`` pair of a group of
+identical scenarios as one cohort (:mod:`repro.control.cohort`): one
+engine step per tick for all of them, on one common-random-number buffer.
 
 The batched sweeps accept *per-node* parameters everywhere a single
 :class:`~repro.core.node_model.NodeParameters` used to be hard-coded: pass
@@ -27,6 +30,7 @@ from ..core.strategies import RecoveryStrategy, ReplicationStrategy
 from ..sim import BatchRecoveryEngine, BatchSimulationResult, FleetScenario
 from ..sim.seeding import resolve_entropy
 from ..sim.strategies import BatchStrategy
+from .cohort import Cohort, CohortMember, scenario_key
 from .two_level import TwoLevelController, TwoLevelResult
 
 __all__ = [
@@ -170,31 +174,106 @@ def engine_fleet_sweep(
     return table
 
 
+def _per_scenario(initial_nodes, count: int) -> tuple:
+    """One ``initial_nodes`` entry per scenario from a shared value or a sequence."""
+    if isinstance(initial_nodes, (list, tuple)):
+        if len(initial_nodes) != count:
+            raise ValueError(
+                f"need one initial_nodes entry per scenario ({count}), got "
+                f"{len(initial_nodes)}"
+            )
+        return tuple(initial_nodes)
+    return (initial_nodes,) * count
+
+
+def _scenario_groups(scenarios: Sequence[tuple[object, FleetScenario]]) -> list[list[int]]:
+    """Indices of the scenarios that compile to equal engine tables, grouped."""
+    groups: dict = {}
+    for index, (_, scenario) in enumerate(scenarios):
+        key = scenario_key(scenario)
+        groups.setdefault(index if key is None else key, []).append(index)
+    return list(groups.values())
+
+
+def _run_cell_cohort(
+    engine: BatchRecoveryEngine,
+    scenarios: Sequence[tuple[int, FleetScenario]],
+    cells: Sequence["ClosedLoopCell"],
+    seed: int,
+    k: int,
+    initial: tuple,
+    episodes: range,
+    batch: int,
+    profile: bool = False,
+) -> dict[tuple[int, int], TwoLevelResult]:
+    """Run every ``(scenario, cell)`` pair of one scenario group as one cohort.
+
+    ``scenarios`` holds ``(index, scenario)`` pairs of equal
+    :func:`~repro.control.cohort.scenario_key`, all compiled by
+    ``engine``; ``initial`` is indexed by ``index``.  Every pair runs
+    episodes ``episodes`` of a ``batch``-episode run of ``seed``'s tree,
+    so all pairs share one uniform buffer (common random numbers) and one
+    engine step per tick.  Returns ``{(index, cell_index): result}``.
+    """
+    cohort = Cohort(engine, profile)
+    members = {}
+    for i, scenario in scenarios:
+        for j, cell in enumerate(cells):
+            controller = TwoLevelController(
+                scenario,
+                len(episodes),
+                cell.recovery,
+                replication_strategy=cell.replication,
+                initial_nodes=initial[i],
+                k=k,
+                enforce_invariant=cell.enforce_invariant,
+                respect_recovery_limit=cell.respect_recovery_limit,
+                engine=engine,
+            )
+            members[(i, j)] = cohort.add(
+                CohortMember(controller, seed, episodes.start, batch)
+            )
+    cohort.run()
+    return {pair: cohort.result(member) for pair, member in members.items()}
+
+
 def _run_cells(
-    scenario: FleetScenario,
+    scenarios: Sequence[tuple[object, FleetScenario]],
     cells: Sequence["ClosedLoopCell"],
     num_envs: int,
     seed: int | None,
     k: int,
-    initial_nodes: int | None,
-) -> dict[str, TwoLevelResult]:
-    """Run every cell against one scenario on one shared compiled engine."""
-    engine = BatchRecoveryEngine(scenario)
-    results: dict[str, TwoLevelResult] = {}
-    for cell in cells:
-        controller = TwoLevelController(
-            scenario,
-            num_envs,
-            cell.recovery,
-            replication_strategy=cell.replication,
-            initial_nodes=initial_nodes,
-            k=k,
-            enforce_invariant=cell.enforce_invariant,
-            respect_recovery_limit=cell.respect_recovery_limit,
-            engine=engine,
+    initial_nodes: int | None | Sequence[int | None],
+) -> dict:
+    """Run a keyed closed-loop sweep grid, one cohort per scenario group.
+
+    Scenarios that compile to equal engine tables run all their cells in
+    one cohort (:mod:`repro.control.cohort`): one engine step per tick for
+    the whole group, one uniform buffer for every pair.  ``seed=None``
+    draws one fresh root for the whole sweep.  Returns ``{(key,
+    cell.name): result}`` in scenario-major order.
+    """
+    initial = _per_scenario(initial_nodes, len(scenarios))
+    root = resolve_entropy(seed)
+    results: dict[tuple[int, int], TwoLevelResult] = {}
+    for indices in _scenario_groups(scenarios):
+        results.update(
+            _run_cell_cohort(
+                BatchRecoveryEngine(scenarios[indices[0]][1]),
+                [(i, scenarios[i][1]) for i in indices],
+                cells,
+                root,
+                k,
+                initial,
+                range(num_envs),
+                num_envs,
+            )
         )
-        results[cell.name] = controller.run(seed=seed)
-    return results
+    return {
+        (key, cell.name): results[(i, j)]
+        for i, (key, _) in enumerate(scenarios)
+        for j, cell in enumerate(cells)
+    }
 
 
 @dataclass(frozen=True)
@@ -232,7 +311,8 @@ def closed_loop_sweep(
     """Closed-loop Table 7 / Figure 12 sweep on the batched control plane.
 
     Every ``(n1, cell)`` pair runs ``num_envs`` full two-level episodes on
-    an ``smax``-slot bank (one compiled engine per ``n1``), coupling the
+    an ``smax``-slot bank (``n1`` values of equal ``f`` share one engine
+    and one cohort), coupling the
     cell's recovery strategy with its replication strategy — the workload
     the scalar ``SystemController`` loop served one episode at a time.
     ``node_params``/``observation_model`` accept one shared value or a
@@ -253,25 +333,14 @@ def closed_loop_sweep(
         )
         for n1 in n1_values
     ]
+    initial_nodes = [n1 for n1, _ in scenarios]
     if n_jobs != 1:
         from .parallel import parallel_closed_loop_table
 
         return parallel_closed_loop_table(
-            scenarios,
-            cells,
-            num_envs,
-            seed,
-            k,
-            [n1 for n1, _ in scenarios],
-            n_jobs,
+            scenarios, cells, num_envs, seed, k, initial_nodes, n_jobs
         )
-    table: dict[tuple[int, str], TwoLevelResult] = {}
-    for n1, scenario in scenarios:
-        for name, result in _run_cells(
-            scenario, cells, num_envs, seed, k, initial_nodes=n1
-        ).items():
-            table[(n1, name)] = result
-    return table
+    return _run_cells(scenarios, cells, num_envs, seed, k, initial_nodes)
 
 
 def mixed_closed_loop_sweep(
@@ -290,7 +359,7 @@ def mixed_closed_loop_sweep(
     """Heterogeneous closed-loop sweep over ready-made (mixed) scenarios.
 
     Every ``(scenario, cell)`` pair runs ``num_envs`` full two-level
-    episodes; one engine is compiled per scenario and shared across cells.
+    episodes; identical scenarios share one engine and one cohort.
     Scenarios built with :meth:`~repro.sim.FleetScenario.mixed` carry
     per-class metrics on their results (``TwoLevelResult.class_summary``).
 
@@ -328,13 +397,7 @@ def mixed_closed_loop_sweep(
         return parallel_closed_loop_table(
             prepared, cells, num_envs, seed, k, initial_nodes, n_jobs
         )
-    table: dict[tuple[str, str], TwoLevelResult] = {}
-    for scenario_name, scenario in prepared:
-        for name, result in _run_cells(
-            scenario, cells, num_envs, seed, k, initial_nodes
-        ).items():
-            table[(scenario_name, name)] = result
-    return table
+    return _run_cells(prepared, cells, num_envs, seed, k, initial_nodes)
 
 
 def attacker_intensity_sweep(
@@ -369,10 +432,4 @@ def attacker_intensity_sweep(
         return parallel_closed_loop_table(
             scaled_scenarios, cells, num_envs, seed, k, initial_nodes, n_jobs
         )
-    table: dict[tuple[float, str], TwoLevelResult] = {}
-    for intensity, scaled in scaled_scenarios:
-        for name, result in _run_cells(
-            scaled, cells, num_envs, seed, k, initial_nodes
-        ).items():
-            table[(intensity, name)] = result
-    return table
+    return _run_cells(scaled_scenarios, cells, num_envs, seed, k, initial_nodes)

@@ -293,16 +293,17 @@ class TwoLevelLoop:
     * :meth:`TwoLevelController.run` drives the loop to the horizon with
       its own :class:`~repro.envs.VectorRecoveryEnv` (one fleet batch per
       engine call);
-    * the decision service (:mod:`repro.serve`) drives one loop per
-      *control group* — the sessions of a cohort whose
-      :meth:`TwoLevelController.control_key` is equal — over the group's
+    * a :class:`~repro.control.cohort.Cohort` — the runner of the
+      closed-loop sweeps, their shards and the decision service — drives
+      one loop per *control group* (the members of a cohort whose
+      :meth:`TwoLevelController.control_key` is equal) over the group's
       concatenated episode axis, around an engine step shared by the
       whole cohort.
 
     Both drivers execute the identical per-tick arithmetic, which is what
-    makes service decisions bit-identical to a direct
+    makes cohort rows bit-identical to a direct
     :meth:`TwoLevelController.run` on the same ``SeedSequence`` tree
-    (asserted in ``tests/test_decision_service.py``).
+    (asserted in ``tests/test_cohort_runner.py``).
 
     One tick is::
 
@@ -664,8 +665,8 @@ class TwoLevelController:
         """Hashable value of everything :class:`TwoLevelLoop` reads off this controller.
 
         Two controllers on one scenario with equal keys run the identical
-        row-wise per-tick arithmetic, so the decision service steps their
-        episodes as one loop.  The key holds the recovery strategies, the
+        row-wise per-tick arithmetic, so a cohort
+        (:mod:`repro.control.cohort`) steps their episodes as one loop.  The key holds the recovery strategies, the
         replication strategy (both compared by value, so they must be
         frozen dataclasses), ``f``, ``k``, ``smax``, ``initial_nodes`` and
         the two limit flags.  ``None`` — the controller shares its loop
@@ -699,15 +700,19 @@ class TwoLevelController:
         return key
 
     # -- seed tree ----------------------------------------------------------------
-    def _system_streams(self, seed: int | None) -> Streams | None:
+    def _system_streams(
+        self, seed: int | None, first: int = 0, batch: int | None = None
+    ) -> Streams | None:
         """Per-episode controller streams from the shared episode seed tree.
 
         The engine consumes children ``0 .. B*N-1`` of ``SeedSequence(seed)``
         (episode-major); the system controllers take the next ``B``
         children, keys ``[B*N, B*N + B)``, so one seed reproduces the
         entire closed loop — including the scalar reference, which hands
-        child ``B*N + b`` to episode ``b``'s scalar controller.  Returns
-        ``(root, keys)`` segments for
+        child ``B*N + b`` to episode ``b``'s scalar controller.  An episode
+        shard of a ``batch``-episode run whose first episode is ``first``
+        gets keys ``[batch*N + first, batch*N + first + num_envs)``.
+        Returns ``(root, keys)`` segments for
         :func:`~repro.sim.seeding.uniform_streams`, or ``None`` when the
         replication strategy draws no randomness.
         """
@@ -715,8 +720,8 @@ class TwoLevelController:
             self.replication_strategy
         ):
             return None
-        total = self.num_envs * self.smax
-        return [(resolve_entropy(seed), range(total, total + self.num_envs))]
+        start = (self.num_envs if batch is None else batch) * self.smax + first
+        return [(resolve_entropy(seed), range(start, start + self.num_envs))]
 
     # -- batched closed loop -------------------------------------------------------
     def run(
@@ -724,10 +729,7 @@ class TwoLevelController:
         seed: int | None = None,
         policy_rng: np.random.Generator | None = None,
         on_step: Callable[[TwoLevelStepEvent], None] | None = None,
-        uniforms: np.ndarray | None = None,
-        system_streams: Streams | None = None,
         profile: bool = False,
-        adversary_uniforms: np.ndarray | None = None,
     ) -> TwoLevelResult:
         """Run one batch of ``B`` closed-loop episodes.
 
@@ -742,38 +744,15 @@ class TwoLevelController:
                 evictions and additions have been applied; the consensus
                 integration mirrors controller decisions onto a live
                 cluster through it.
-            uniforms: Pre-drawn ``(B, N, width)`` engine uniform buffer
-                overriding the seed tree — e.g. an episode slice of the
-                full batch's buffer, which is how the sharded sweeps
-                (:mod:`repro.control.parallel`) replay episodes
-                ``[lo, hi)`` of a larger run bit for bit.  Mutually
-                exclusive with ``seed``.
-            system_streams: Explicit ``(root, spawn_keys)`` segments of the
-                per-episode controller streams, overriding the seed tree's
-                tail children (one key per episode); used together with
-                ``uniforms`` by the sharded sweeps.  Ignored for
-                deterministic replication strategies, matching the
-                seed-tree convention.
             profile: Record the engine's per-phase wall-clock time into
                 :attr:`TwoLevelResult.profile`.
-            adversary_uniforms: Pre-drawn ``(B, horizon, K)`` adversary
-                uniform buffer accompanying ``uniforms`` when the
-                scenario's adversary is dynamic (see
-                :mod:`repro.sim.adversary`); sliced per shard by the
-                sharded sweeps exactly like ``uniforms``.
+
+        An episode shard of a larger run — rows ``[lo, hi)`` of it — runs
+        as a :class:`~repro.control.cohort.CohortMember` instead.
         """
         env = self.env
-        observation = env.reset(
-            seed=seed,
-            uniforms=uniforms,
-            profile=profile,
-            adversary_uniforms=adversary_uniforms,
-        )
-        loop = self.begin_loop(
-            seed=seed,
-            policy_rng=policy_rng,
-            system_streams=system_streams,
-        )
+        observation = env.reset(seed=seed, profile=profile)
+        loop = self.begin_loop(seed=seed, policy_rng=policy_rng)
         for _ in range(self.horizon):
             mask = loop.pre_step(observation)
             observation, costs, _, info = env.step(mask)
@@ -794,16 +773,16 @@ class TwoLevelController:
         """Create the incremental per-tick executor of this controller's loop.
 
         :meth:`run` drives the returned :class:`TwoLevelLoop` to the
-        horizon around its own environment; the decision service drives it
-        one tick at a time around a fused engine step shared with other
-        sessions.  The system-controller streams follow the same
+        horizon around its own environment; a cohort
+        (:mod:`repro.control.cohort`) drives it one tick at a time around
+        a fused engine step shared with other fleets.  The system-controller streams follow the same
         convention as :meth:`run` (tail children of the shared episode seed
         tree unless given explicitly).
 
         ``num_episodes`` (default :attr:`num_envs`) sizes the loop for a
-        control group: the decision service stacks the episodes of every
-        session with an equal :meth:`control_key` into one loop and passes
-        the concatenation of their stream segments.
+        control group: a cohort stacks the episodes of every member with
+        an equal :meth:`control_key` into one loop and passes the
+        concatenation of their stream segments.
         """
         system = VectorSystemController(
             f=self.f,

@@ -72,22 +72,24 @@ _HEALTHY = int(NodeState.HEALTHY)
 _COMPROMISED = int(NodeState.COMPROMISED)
 _CRASHED = int(NodeState.CRASHED)
 
-# Memo of seeded uniform buffers keyed (seed, B, N, width); the arrays are
-# marked read-only before caching.  FIFO-bounded, and very large buffers are
-# never cached so the memo cannot pin hundreds of megabytes.
+# Memo of seeded uniform buffers keyed (seed, first episode, end episode, N,
+# width); the arrays are marked read-only before caching.  FIFO-bounded, and
+# very large buffers are never cached so the memo cannot pin hundreds of
+# megabytes.
 _UNIFORM_CACHE: dict[tuple, np.ndarray] = {}
 _UNIFORM_CACHE_MAX_ENTRIES = 8
 _UNIFORM_CACHE_MAX_ELEMENTS = 8_000_000  # 64 MB of float64 per entry
 
-#: ``(seed_i, B_i)`` members of a multi-session draw (see ``draw_uniforms``).
-SeedMembers = Sequence[tuple[int | None, int]]
+#: ``(seed_i, B_i)`` members of a multi-session draw (see ``draw_uniforms``);
+#: ``B_i`` may instead be a ``range`` of episodes of ``seed_i``'s tree.
+SeedMembers = Sequence[tuple[int | None, "int | range"]]
 
 
-def _members(seed, num_episodes: int | None) -> list[tuple[int | None, int]]:
-    """The ``(seed, B)`` members of a draw; a scalar call is one member."""
+def _members(seed, num_episodes: int | None) -> list[tuple[int | None, range]]:
+    """The ``(seed, episodes)`` members of a draw; a scalar call is one member."""
     if num_episodes is not None:
-        return [(seed, num_episodes)]
-    return [(s, int(b)) for s, b in seed]
+        return [(seed, range(num_episodes))]
+    return [(s, b if isinstance(b, range) else range(int(b))) for s, b in seed]
 
 
 @dataclass(frozen=True)
@@ -176,7 +178,9 @@ class BatchEpisodeState:
     state with a closed-form strategy — both paths are bit-identical.
     """
 
-    uniforms: np.ndarray  #: (B, N, 2 * horizon) pre-generated uniform buffer.
+    #: (B', N, 2 * horizon) pre-generated uniform buffer; episode ``b``
+    #: reads row ``episode_rows[b]`` (``B' = B`` unless rows share streams).
+    uniforms: np.ndarray
     t: int  #: Number of completed steps.
     state: np.ndarray  #: Hidden node states (int64).
     belief: np.ndarray  #: Two-state compromise beliefs.
@@ -209,6 +213,7 @@ class BatchEpisodeState:
     # arrays at begin() time so the hot step loop allocates nothing anew).
     uniforms_flat: np.ndarray = field(default=None, repr=False)  # (B * N * 2T,) view
     stream_rows: np.ndarray = field(default=None, repr=False)  # (B, N) buffer offsets
+    episode_rows: np.ndarray = field(default=None, repr=False)  # (B,) buffer rows
     eta_mat: np.ndarray = field(default=None, repr=False)  # (B, N) broadcast view
     initial_belief_mat: np.ndarray = field(default=None, repr=False)  # (B, N) view
     btr_deadline_mat: np.ndarray = field(default=None, repr=False)  # (B, N) view
@@ -331,8 +336,11 @@ class BatchRecoveryEngine:
 
         ``seed`` may instead be a sequence of ``(seed_i, B_i)`` members
         (``num_episodes`` omitted): the result is the members' buffers
-        concatenated on the episode axis, in one call — how the decision
-        service seeds a whole cohort.
+        concatenated on the episode axis, in one call — how a cohort
+        (:mod:`repro.control.cohort`) seeds all of its members.  ``B_i``
+        may be a ``range(lo, hi)`` of episodes instead: rows ``lo:hi`` of
+        ``seed_i``'s ``hi``-episode buffer, which is how an episode shard
+        of :mod:`repro.control.parallel` draws only its own streams.
 
         Single-member seeded buffers are memoized in a small module-level
         cache (the buffer is a pure function of ``(seed, B, N, width)`` and
@@ -346,11 +354,15 @@ class BatchRecoveryEngine:
         width = 2 * self.scenario.horizon
         key = None
         if memoize and len(members) == 1 and members[0][0] is not None:
-            key = (members[0][0], members[0][1], num_nodes, width)
+            seed0, episodes = members[0]
+            key = (seed0, episodes.start, episodes.stop, num_nodes, width)
             cached = _UNIFORM_CACHE.get(key)
             if cached is not None:
                 return cached
-        streams = [(resolve_entropy(s), range(b * num_nodes)) for s, b in members]
+        streams = [
+            (resolve_entropy(s), range(b.start * num_nodes, b.stop * num_nodes))
+            for s, b in members
+        ]
         uniforms = uniform_streams(streams, width).reshape(-1, num_nodes, width)
         if key is not None and uniforms.size <= _UNIFORM_CACHE_MAX_ELEMENTS:
             uniforms.setflags(write=False)
@@ -383,7 +395,7 @@ class BatchRecoveryEngine:
             )
         return _draw_adversary_uniforms(
             self.adversary,
-            [(int(s), range(b)) for s, b in members],
+            [(int(s), b) for s, b in members],
             self.scenario.num_nodes,
             self.scenario.horizon,
         )
@@ -567,14 +579,26 @@ class BatchRecoveryEngine:
         uniforms: np.ndarray,
         track_metrics: bool = True,
         adversary_uniforms: np.ndarray | None = None,
+        rows: np.ndarray | None = None,
     ) -> BatchEpisodeState:
-        num_episodes, num_nodes, _ = uniforms.shape
+        """The initial state over ``uniforms``.
+
+        ``rows`` maps each episode of the state to the buffer row whose
+        streams it consumes (default: episode ``b`` reads row ``b``).  A
+        cohort (:mod:`repro.control.cohort`) passes it so that members
+        sharing a seed tree share one buffer instead of copies of it; the
+        adversary buffer is read through the same map.
+        """
+        buffer_rows, num_nodes, width = uniforms.shape
+        if rows is None:
+            rows = np.arange(buffer_rows, dtype=np.int64)
+        num_episodes = len(rows)
         shape = (num_episodes, num_nodes)
         track_availability = self.scenario.f is not None
         adversary_state = None
         if self._dynamic:
-            width = self.adversary.uniforms_per_step(num_nodes)
-            if width > 0:
+            adversary_width = self.adversary.uniforms_per_step(num_nodes)
+            if adversary_width > 0:
                 if adversary_uniforms is None:
                     raise ValueError(
                         "the scenario's adversary is dynamic: pass "
@@ -584,13 +608,13 @@ class BatchRecoveryEngine:
                 adversary_uniforms = np.asarray(adversary_uniforms, dtype=float)
                 if (
                     adversary_uniforms.ndim != 3
-                    or adversary_uniforms.shape[0] != num_episodes
+                    or adversary_uniforms.shape[0] != buffer_rows
                     or adversary_uniforms.shape[1] < self.scenario.horizon
-                    or adversary_uniforms.shape[2] != width
+                    or adversary_uniforms.shape[2] != adversary_width
                 ):
                     raise ValueError(
                         "adversary_uniforms must have shape (B, horizon, "
-                        f"{width}), got {adversary_uniforms.shape}"
+                        f"{adversary_width}), got {adversary_uniforms.shape}"
                     )
             else:
                 adversary_uniforms = None
@@ -617,9 +641,10 @@ class BatchRecoveryEngine:
             track_metrics=track_metrics,
             uniforms_flat=uniforms.reshape(-1),
             stream_rows=(
-                np.arange(num_episodes * num_nodes, dtype=np.int64).reshape(shape)
-                * uniforms.shape[2]
-            ),
+                rows[:, None] * num_nodes + np.arange(num_nodes, dtype=np.int64)
+            )
+            * width,
+            episode_rows=rows,
             eta_mat=np.broadcast_to(self._eta, shape),
             initial_belief_mat=np.broadcast_to(self._initial_belief, shape),
             btr_deadline_mat=np.broadcast_to(self._btr_deadline, shape),
@@ -692,7 +717,7 @@ class BatchRecoveryEngine:
         cursor += 1
         if self._dynamic:
             adversary_u = (
-                sim.adversary_uniforms[:, sim.t, :]
+                sim.adversary_uniforms[sim.episode_rows, sim.t, :]
                 if sim.adversary_uniforms is not None
                 else None
             )

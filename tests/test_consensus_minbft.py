@@ -361,3 +361,132 @@ class TestLeaderEviction:
         new_leader = cluster.current_leader()
         assert new_leader != leader
         assert new_leader in cluster.membership
+
+
+class TestVoteAuthentication:
+    """Regression: a vote counts only under the replica that sent it.
+
+    One Byzantine replica must not fill an f + 1 quorum alone — by claiming
+    another replica's id, or by replaying another replica's vote — and a
+    replica must adopt a state-transfer snapshot only when it is the state
+    the quorum's digest names.
+    """
+
+    @staticmethod
+    def _lagging_target(cluster, client):
+        from repro.consensus.state_machine import KeyValueStateMachine
+
+        for i in range(3):
+            client.write_and_wait("x", i)
+        cluster.run(ticks=20)
+        target = cluster.replicas["replica-3"]
+        target.state_machine = KeyValueStateMachine()
+        target.executed_sequence = 0
+        return target
+
+    @staticmethod
+    def _response(replica_id, source, store=None):
+        """A STATE response carrying ``source``'s digest, optionally a forged store."""
+        from repro.consensus import StateTransferResponse
+
+        snapshot = source.state_machine.snapshot()
+        if store is not None:
+            snapshot = {**snapshot, "store": store}
+        return StateTransferResponse(
+            replica_id=replica_id,
+            last_executed=source.executed_sequence,
+            state_snapshot=snapshot,
+            state_digest=source.state_machine.state_digest(),
+            executed_requests=source.state_machine.executed_requests(),
+        )
+
+    def test_state_votes_under_another_id_do_not_form_a_quorum(self, cluster, client):
+        from repro.consensus import StateTransferResponse
+        from repro.consensus.state_machine import KeyValueStateMachine
+
+        target = self._lagging_target(cluster, client)
+        forged = {"store": {"x": "forged"}, "applied": [], "last_sequence": 99}
+        # A self-consistent forgery: its digest is that of the forged state.
+        machine = KeyValueStateMachine()
+        machine.restore(forged)
+        for claimed in ("replica-1", "replica-2"):
+            target.on_message(
+                "replica-1",
+                StateTransferResponse(
+                    replica_id=claimed,
+                    last_executed=99,
+                    state_snapshot=forged,
+                    state_digest=machine.state_digest(),
+                    executed_requests=(),
+                ),
+                0,
+            )
+        assert target.executed_sequence == 0
+        assert target.state_machine.read("x") is None
+
+    def test_forged_snapshot_completing_a_quorum_is_not_adopted(self, cluster, client):
+        target = self._lagging_target(cluster, client)
+        honest = cluster.replicas["replica-2"]
+        expected = honest.state_machine.state_digest()
+        target.on_message("replica-2", self._response("replica-2", honest), 0)
+        forged = self._response("replica-1", honest, store={"x": "forged"})
+        target.on_message("replica-1", forged, 0)
+        assert target.executed_sequence == 0
+        assert target.state_machine.read("x") is None
+        # The next honest response of the same quorum is adopted.
+        source = cluster.replicas["replica-0"]
+        target.on_message("replica-0", self._response("replica-0", source), 0)
+        assert target.executed_sequence == honest.executed_sequence
+        assert target.state_machine.state_digest() == expected
+
+    def test_commit_votes_count_only_under_their_sender(self):
+        from repro.consensus import Commit
+
+        cluster = MinBFTCluster(num_replicas=4, seed=11)
+        client = MinBFTClient("client-0", cluster)
+        leader = cluster.replicas["replica-0"]
+        byzantine = cluster.replicas["replica-1"]
+        target = cluster.replicas["replica-3"]
+        request = client._build_request("write", "x", 1)
+        leader._handle_request(request, tick=0)
+        prepare = leader.prepare_log[1]
+        target.on_message("replica-0", prepare, 0)
+        honest_key = (1, request.payload_digest)
+        assert target.commit_votes[honest_key] == {"replica-3"}
+
+        content = Commit.content_digest_of(0, 1, request.payload_digest)
+        # Replica-1 votes under replica-2's id with its own (valid) UI ...
+        spoofed = Commit(
+            view=0,
+            sequence=1,
+            request_digest=request.payload_digest,
+            replica_id="replica-2",
+            prepare_ui=prepare.ui,
+            ui=byzantine.usig.create_ui(content),
+        )
+        target.on_message("replica-1", spoofed, 0)
+        # ... and replays replica-2's own COMMIT as if it had sent it.
+        cluster.replicas["replica-2"].on_message("replica-0", prepare, 0)
+        replayed = Commit(
+            view=0,
+            sequence=1,
+            request_digest=request.payload_digest,
+            replica_id="replica-2",
+            prepare_ui=prepare.ui,
+            ui=cluster.replicas["replica-2"].usig.create_ui(content),
+        )
+        target.on_message("replica-1", replayed, 0)
+        assert target.commit_votes[honest_key] == {"replica-3"}
+        assert target.executed_sequence == 0
+        # Its own vote, sent as itself, still counts.
+        own = Commit(
+            view=0,
+            sequence=1,
+            request_digest=request.payload_digest,
+            replica_id="replica-1",
+            prepare_ui=prepare.ui,
+            ui=byzantine.usig.create_ui(content),
+        )
+        target.on_message("replica-1", own, 0)
+        assert target.commit_votes[honest_key] == {"replica-1", "replica-3"}
+        assert target.executed_sequence == 1
