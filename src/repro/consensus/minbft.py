@@ -292,6 +292,10 @@ class MinBFTReplica:
             return
         if prepare.leader_id != self.leader_of(prepare.view):
             return
+        # Only the leader proposes: the network sender, the claimed leader
+        # and the UI's signer must be one replica.
+        if sender != prepare.leader_id or getattr(prepare.ui, "replica_id", None) != sender:
+            return
         if not self.verifier.verify(prepare.content_digest, prepare.ui, enforce_order=False):
             return
         self.pending_client_requests.setdefault(prepare.request.identifier, (prepare.request, tick))

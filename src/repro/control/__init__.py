@@ -97,7 +97,6 @@ from .class_aware import (
     optimize_class_deltas,
 )
 from .parallel import (
-    SharedResultStore,
     parallel_closed_loop_table,
     parallel_engine_sweep_table,
     shard_episodes,
@@ -158,7 +157,6 @@ __all__ = [
     "PPOReplicationResult",
     "PPOReplicationStrategy",
     "PolicySolveCache",
-    "SharedResultStore",
     "SystemIdentificationResult",
     "SystemTrace",
     "TwoLevelController",

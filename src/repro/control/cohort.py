@@ -5,8 +5,9 @@ A :class:`Cohort` runs the fleets (its *members*, each a built
 compile to the same engine tables — equal :func:`scenario_key` — in one
 fused :class:`~repro.sim.engine.BatchEpisodeState`.  It is the one runner
 behind the closed-loop sweeps (:mod:`repro.control.sweep`), their episode
-shards (:mod:`repro.control.parallel`) and the decision service
-(:mod:`repro.serve.service`).
+shards (:mod:`repro.control.parallel`), the decision service
+(:mod:`repro.serve.service`) and :meth:`TwoLevelController.run
+<repro.control.TwoLevelController.run>`, which is a one-member cohort.
 
 Control groups
     Members whose :meth:`~repro.control.TwoLevelController.control_key` is
@@ -39,10 +40,11 @@ One tick
 
 Every engine row and every control row is independent of the others (the
 CMDP state, the Prop. 1c grant and the slot activation are all row-wise),
-so each member's rows replay a direct ``TwoLevelController.run(seed=seed)``
-— or, for an episode shard, rows ``[lo, hi)`` of it — **bit for bit**
-(``tests/test_cohort_runner.py``, ``tests/test_decision_service.py``,
-``tests/test_service_control_groups.py``).
+so each member's rows equal the member's run alone — a one-member cohort,
+which is ``TwoLevelController.run(seed=seed)`` — or, for an episode shard,
+rows ``[lo, hi)`` of that run, **bit for bit**.  The independent oracle is
+the scalar :meth:`~repro.control.TwoLevelController.run_scalar_reference`
+(``tests/test_cohort_runner.py``, ``tests/test_control_plane.py``).
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ class CohortMember:
 
     The member consumes the streams of episodes ``[first, first + B)`` of
     ``SeedSequence(seed)``'s tree for a ``batch``-episode run, so a whole
-    run replays ``controller.run(seed=seed)`` and a shard replays its rows
+    run is ``controller.run(seed=seed)`` and a shard replays its rows
     of the larger run.
     """
 
@@ -271,7 +273,7 @@ class Cohort:
         drawn in one ``draw_uniforms`` call (and one adversary draw); the
         row map sends member ``i``'s rows to its source's block, which is
         exactly ``engine.draw_uniforms(seed_i, B_i)`` for a whole run — the
-        buffer a direct ``TwoLevelController.run(seed=seed_i)`` consumes.
+        buffer the scalar reference of ``seed_i`` consumes.
         """
         lo = 0
         for group in self.groups:
@@ -305,10 +307,9 @@ class Cohort:
     def advance(self) -> list[tuple[ControlGroup, TwoLevelStepEvent]]:
         """One fused tick: per group pre_step, ONE engine step, per group post_step.
 
-        Executes the identical per-tick arithmetic as
-        :meth:`TwoLevelController.run` on every row — the belief updates of
-        the whole cohort land in a single fused kernel call, the control
-        plane in one call per group.  Returns every group's event.
+        The belief updates of the whole cohort land in a single fused
+        kernel call, the control plane in one call per group.  Returns
+        every group's event.
         """
         if not self.sealed:
             self.seal()

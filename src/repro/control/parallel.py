@@ -21,16 +21,12 @@ reduction.  This module fans that work out to worker processes:
   ``[B*N + lo, B*N + hi)`` to :func:`~repro.sim.seeding.uniform_streams`,
   no serial pre-spawn, no stream handoff — so **any shard count
   reproduces the single-process result bit for bit** under a fixed seed.
-* **Shared-memory result arrays.**  The parent allocates one
-  ``multiprocessing.shared_memory`` block per sweep with a named slot for
-  every per-episode metric array (:class:`SharedResultStore`); workers
-  attach and write their ``[lo, hi)`` rows in place.  Only tiny
-  :class:`~repro.sim.kernels.EngineProfile` objects travel back through
-  the pool — per-episode logs are never pickled.
-* **Profile merge at join.**  Each shard runs with engine profiling and
-  the parent folds the per-shard phase timings into one profile per cell
-  (per scenario group for the closed-loop cohorts, whose cells share
-  their engine steps) via :meth:`~repro.sim.kernels.EngineProfile.merge`.
+* **Returned rows.**  Each task returns its shard's results — the
+  per-episode metric rows ``[lo, hi)`` of every pair it ran — through
+  ``pool.map``, and the parent concatenates them in shard order.  Each
+  shard's :class:`~repro.sim.kernels.EngineProfile` travels with its
+  rows; the join folds them into one profile per pair via
+  :meth:`~repro.sim.kernels.EngineProfile.merge`.
 
 ``seed=None`` draws fresh OS entropy once in the parent (the run is
 non-reproducible, matching the serial convention, but all shards still
@@ -50,24 +46,19 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
-from dataclasses import dataclass
-from multiprocessing import shared_memory
+from dataclasses import dataclass, fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from ..sim import BatchRecoveryEngine, BatchSimulationResult, FleetScenario
 from ..sim.kernels import EngineProfile
-from ..sim.seeding import resolve_entropy, uniform_streams
+from ..sim.seeding import resolve_entropy
 from .sweep import _per_scenario, _run_cell_cohort, _scenario_groups
-from .two_level import TwoLevelResult
 
 __all__ = [
     "validate_n_jobs",
     "shard_episodes",
-    "resolve_root_entropy",
-    "shard_uniforms",
-    "SharedResultStore",
     "parallel_closed_loop_table",
     "parallel_engine_sweep_table",
 ]
@@ -107,127 +98,10 @@ def shard_episodes(num_episodes: int, num_shards: int) -> list[tuple[int, int]]:
     return bounds
 
 
-#: An integer seed is its own root entropy (``SeedSequence(seed)``); ``None``
-#: draws OS entropy once in the parent so that every shard of the run still
-#: descends from one tree (the run itself is non-reproducible, matching the
-#: serial ``seed=None`` convention).
-resolve_root_entropy = resolve_entropy
-
-
-def shard_uniforms(
-    entropy: int, lo: int, hi: int, num_nodes: int, width: int
-) -> np.ndarray:
-    """Engine uniform rows for episodes ``[lo, hi)`` of the full batch.
-
-    Reproduces rows ``lo:hi`` of
-    :meth:`~repro.sim.BatchRecoveryEngine.draw_uniforms` for the same
-    seed: stream ``(b, j)`` is child ``b * N + j`` of the root
-    (episode-major), and the spawn-key identity ``SeedSequence(e).spawn(n)[i]
-    == SeedSequence(e, spawn_key=(i,))`` lets a shard compute only its own
-    keys ``[lo*N, hi*N)``.
-    """
-    streams = [(entropy, range(lo * num_nodes, hi * num_nodes))]
-    return uniform_streams(streams, width).reshape(hi - lo, num_nodes, width)
-
-
-# -- shared-memory result arrays --------------------------------------------------
-@dataclass(frozen=True)
-class _ArraySpec:
-    """Placement of one named result array inside the shared block."""
-
-    offset: int
-    shape: tuple[int, ...]
-    dtype: str
-
-
-class SharedResultStore:
-    """Named per-episode result arrays backed by one shared-memory block.
-
-    The parent :meth:`allocate`\\ s the block from a ``key -> (shape,
-    dtype)`` layout before the pool starts; workers :meth:`attach` via the
-    picklable :meth:`descriptor` and write their episode rows in place —
-    the join step never unpickles a result array.  Keys are arbitrary
-    hashable tuples (the sweeps use ``(scenario_index, cell_index,
-    metric)``).
-    """
-
-    def __init__(
-        self,
-        shm: shared_memory.SharedMemory,
-        specs: dict,
-        owner: bool,
-    ) -> None:
-        self._shm = shm
-        self._specs = specs
-        self._owner = owner
-
-    @classmethod
-    def allocate(cls, layout: Mapping) -> "SharedResultStore":
-        """Create the block for a ``key -> (shape, dtype)`` layout."""
-        specs: dict = {}
-        offset = 0
-        for key, (shape, dtype) in layout.items():
-            dtype = np.dtype(dtype)
-            size = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-            # 8-byte alignment keeps every float64/int64 view aligned.
-            offset = (offset + 7) // 8 * 8
-            specs[key] = _ArraySpec(offset, tuple(int(s) for s in shape), dtype.str)
-            offset += size
-        shm = shared_memory.SharedMemory(create=True, size=max(offset, 1))
-        return cls(shm, specs, owner=True)
-
-    def descriptor(self) -> tuple[str, dict]:
-        """Picklable ``(name, specs)`` handle workers attach with."""
-        return self._shm.name, self._specs
-
-    @classmethod
-    def attach(
-        cls, descriptor: tuple[str, dict], unregister: bool = False
-    ) -> "SharedResultStore":
-        """Attach to a block allocated by the parent (worker side).
-
-        Python < 3.13 registers every attach with the process's resource
-        tracker.  Under ``fork`` the tracker is shared with the parent, so
-        the duplicate registration is a set no-op and the parent's
-        ``unlink`` settles the books.  Under ``spawn``/``forkserver`` the
-        worker has its *own* tracker, which would try to unlink the
-        parent-owned block again at worker exit — pass
-        ``unregister=True`` there to drop the spurious registration.
-        """
-        name, specs = descriptor
-        shm = shared_memory.SharedMemory(name=name)
-        if unregister:
-            try:  # pragma: no cover - depends on interpreter internals
-                from multiprocessing import resource_tracker
-
-                resource_tracker.unregister(shm._name, "shared_memory")
-            except Exception:
-                pass
-        return cls(shm, specs, owner=False)
-
-    def array(self, key) -> np.ndarray:
-        """NumPy view of one named array inside the block."""
-        spec = self._specs[key]
-        return np.ndarray(
-            spec.shape, dtype=np.dtype(spec.dtype), buffer=self._shm.buf, offset=spec.offset
-        )
-
-    def keys(self):
-        return self._specs.keys()
-
-    def close(self) -> None:
-        """Detach; the owning (parent) handle also unlinks the block."""
-        try:
-            self._shm.close()
-        finally:
-            if self._owner:
-                self._shm.unlink()
-
-
 # -- worker-side execution ---------------------------------------------------------
-#: Per-worker state set up by the pool initializer: the sweep spec, the
-#: attached result store, and memos for compiled engines / uniform shards
-#: so multiple cells of one scenario reuse them within a worker.
+#: Per-worker state set up by the pool initializer: the sweep spec and
+#: memos for compiled engines / uniform shards so multiple cells of one
+#: scenario reuse them within a worker.
 _WORKER: dict = {}
 
 
@@ -242,7 +116,6 @@ class _ClosedLoopSpec:
     k: int
     initial_nodes: tuple  # one entry (int | None) per scenario
     entropy: int
-    store: tuple  # SharedResultStore descriptor
     profile: bool
 
 
@@ -252,22 +125,13 @@ class _EngineSweepSpec:
 
     scenarios: tuple  # ((key, FleetScenario), ...)
     strategies: tuple  # ((name, strategy), ...)
-    num_episodes: int
     entropy: int
-    store: tuple
     profile: bool
 
 
-def _init_worker(spec, store=None, unregister: bool = False) -> None:
+def _init_worker(spec) -> None:
     _WORKER.clear()
     _WORKER["spec"] = spec
-    # The in-process path hands the parent-owned store straight in; pool
-    # workers attach via the picklable descriptor.
-    _WORKER["store"] = (
-        store
-        if store is not None
-        else SharedResultStore.attach(spec.store, unregister=unregister)
-    )
     _WORKER["engines"] = {}
     _WORKER["uniforms"] = {}
 
@@ -280,28 +144,27 @@ def _worker_engine(scenario_index: int, scenario: FleetScenario) -> BatchRecover
     return engine
 
 
-def _worker_uniforms(
-    entropy: int, lo: int, hi: int, num_nodes: int, width: int
-) -> np.ndarray:
+def _worker_uniforms(engine: BatchRecoveryEngine, entropy: int, lo: int, hi: int) -> np.ndarray:
     # Keyed by stream geometry, not scenario index: the strategies of an
     # engine sweep's scenario, run as consecutive tasks, consume identical
     # uniform streams.
     memo = _WORKER["uniforms"]
-    key = (lo, hi, num_nodes, width)
+    scenario = engine.scenario
+    key = (lo, hi, scenario.num_nodes, scenario.horizon)
     uniforms = memo.get(key)
     if uniforms is None:
-        uniforms = shard_uniforms(entropy, lo, hi, num_nodes, width)
+        uniforms = engine.draw_uniforms([(entropy, range(lo, hi))], memoize=False)
         memo.clear()  # one live shard buffer per worker bounds memory
         memo[key] = uniforms
     return uniforms
 
 
-def _run_closed_loop_shard(task: tuple[int, int, int]):
+def _run_closed_loop_shard(task: tuple[int, int, int]) -> dict:
+    """Rows ``[lo, hi)`` of every ``(scenario, cell)`` pair of one group."""
     group_index, lo, hi = task
     spec: _ClosedLoopSpec = _WORKER["spec"]
-    store: SharedResultStore = _WORKER["store"]
     indices = spec.groups[group_index]
-    results = _run_cell_cohort(
+    return _run_cell_cohort(
         _worker_engine(indices[0], spec.scenarios[indices[0]][1]),
         [(i, spec.scenarios[i][1]) for i in indices],
         spec.cells,
@@ -312,64 +175,48 @@ def _run_closed_loop_shard(task: tuple[int, int, int]):
         spec.num_envs,
         spec.profile,
     )
-    for (i, j), result in results.items():
-        for metric in _CLOSED_LOOP_METRICS:
-            store.array((i, j, metric))[lo:hi] = getattr(result, metric)
-        if result.class_average_cost is not None:
-            for label, values in result.class_average_cost.items():
-                store.array((i, j, "class_cost", label))[lo:hi] = values
-            for label, values in result.class_recovery_frequency.items():
-                store.array((i, j, "class_recovery", label))[lo:hi] = values
-    # Every pair of the cohort shares its horizon and its engine profile.
-    return group_index, result.steps, result.profile
 
 
-def _run_engine_shard(task: tuple[int, int, int, int]):
+def _run_engine_shard(task: tuple[int, int, int, int]) -> BatchSimulationResult:
+    """Rows ``[lo, hi)`` of one ``(scenario, strategy)`` pair."""
     scenario_index, strategy_index, lo, hi = task
     spec: _EngineSweepSpec = _WORKER["spec"]
-    store: SharedResultStore = _WORKER["store"]
-    key, scenario = spec.scenarios[scenario_index]
+    _, scenario = spec.scenarios[scenario_index]
     _, strategy = spec.strategies[strategy_index]
     engine = _worker_engine(scenario_index, scenario)
-    uniforms = _worker_uniforms(
-        spec.entropy, lo, hi, scenario.num_nodes, 2 * scenario.horizon
-    )
-    result = engine.run(
+    return engine.run(
         strategy,
-        uniforms=uniforms,
+        uniforms=_worker_uniforms(engine, spec.entropy, lo, hi),
         profile=spec.profile or None,
         adversary_uniforms=engine.draw_adversary_uniforms([(spec.entropy, range(lo, hi))]),
     )
-    for metric in _ENGINE_METRICS:
-        store.array((scenario_index, strategy_index, metric))[lo:hi] = getattr(
-            result, metric
-        )
-    if result.availability is not None:
-        store.array((scenario_index, strategy_index, "availability"))[lo:hi] = (
-            result.availability
-        )
-    return scenario_index, strategy_index, result.steps, result.profile
 
 
-#: Per-episode metric fields of a TwoLevelResult, with their dtypes.
-_CLOSED_LOOP_METRICS: dict[str, str] = {
-    "availability": "<f8",
-    "average_nodes": "<f8",
-    "average_cost": "<f8",
-    "recovery_frequency": "<f8",
-    "additions": "<i8",
-    "emergency_additions": "<i8",
-    "evictions": "<i8",
-}
+def _join(parts: list):
+    """One result from its shards' results: rows concatenated in shard order.
 
-#: Per-(episode, node) metric fields of a BatchSimulationResult.
-_ENGINE_METRICS: dict[str, str] = {
-    "average_cost": "<f8",
-    "time_to_recovery": "<f8",
-    "recovery_frequency": "<f8",
-    "num_recoveries": "<i8",
-    "num_compromises": "<i8",
-}
+    Works on :class:`~repro.control.two_level.TwoLevelResult` (per-class
+    dicts included) and :class:`~repro.sim.BatchSimulationResult` alike;
+    the shards' engine profiles are merged, and every shard shares the
+    horizon.
+    """
+
+    def rows(values):
+        if values[0] is None:
+            return None
+        if isinstance(values[0], dict):
+            return {label: np.concatenate([v[label] for v in values]) for label in values[0]}
+        return np.concatenate(values)
+
+    first = parts[0]
+    joined = {
+        field.name: rows([getattr(part, field.name) for part in parts])
+        for field in fields(first)
+        if field.name not in ("steps", "profile")
+    }
+    if first.profile is not None:
+        joined["profile"] = EngineProfile.merge(*(part.profile for part in parts))
+    return replace(first, **joined)
 
 
 # -- parent-side drivers -----------------------------------------------------------
@@ -419,86 +266,39 @@ def parallel_closed_loop_table(
     ``num_envs`` episodes are split into contiguous shards, and each
     (group, shard) task runs all of the group's ``(scenario, cell)``
     pairs as one cohort (:mod:`repro.control.cohort`) over its own seed
-    subtree.  Per-episode metrics land in shared memory, and the join
-    assembles one :class:`~repro.control.two_level.TwoLevelResult` per
-    pair, carrying its group's shard profiles merged.  Bit-identical to
-    the serial table for any ``n_jobs`` under a fixed seed.
+    subtree and returns their rows.  The join concatenates each pair's
+    rows in shard order into one
+    :class:`~repro.control.two_level.TwoLevelResult`, carrying its group's
+    shard profiles merged.  Bit-identical to the serial table for any
+    ``n_jobs`` under a fixed seed.
     """
     n_jobs = validate_n_jobs(n_jobs)
     scenarios = tuple((key, scenario) for key, scenario in scenarios)
     cells = tuple(cells)
     if not scenarios or not cells:
         return {}
-    initial = _per_scenario(initial_nodes, len(scenarios))
     groups = tuple(tuple(indices) for indices in _scenario_groups(scenarios))
-    entropy = resolve_root_entropy(seed)
-    shards = _plan_shards(num_envs, n_jobs, len(groups))
-
-    layout: dict = {}
-    class_labels: dict[int, list[str]] = {}
-    for i, (_, scenario) in enumerate(scenarios):
-        labels = list(scenario.class_slots()) if scenario.node_labels is not None else []
-        class_labels[i] = labels
-        for j in range(len(cells)):
-            for metric, dtype in _CLOSED_LOOP_METRICS.items():
-                layout[(i, j, metric)] = ((num_envs,), dtype)
-            for label in labels:
-                layout[(i, j, "class_cost", label)] = ((num_envs,), "<f8")
-                layout[(i, j, "class_recovery", label)] = ((num_envs,), "<f8")
-
-    store = SharedResultStore.allocate(layout)
-    tasks = [(g, lo, hi) for g in range(len(groups)) for lo, hi in shards]
     spec = _ClosedLoopSpec(
         scenarios=scenarios,
         groups=groups,
         cells=cells,
         num_envs=num_envs,
         k=k,
-        initial_nodes=initial,
-        entropy=entropy,
-        store=store.descriptor(),
+        initial_nodes=_per_scenario(initial_nodes, len(scenarios)),
+        entropy=resolve_entropy(seed),
         profile=profile,
     )
-    try:
-        outcomes = _map_tasks(spec, _run_closed_loop_shard, tasks, n_jobs, store)
-        group_of = {i: g for g, indices in enumerate(groups) for i in indices}
-        steps = {g: max(s for gi, s, _ in outcomes if gi == g) for g in range(len(groups))}
-        merged = {
-            g: EngineProfile.merge(*(p for gi, _, p in outcomes if gi == g))
-            for g in range(len(groups))
-        }
-        table: dict = {}
-        for i, (key, scenario) in enumerate(scenarios):
-            g = group_of[i]
-            labels = class_labels[i]
-            for j, cell in enumerate(cells):
-                table[(key, cell.name)] = TwoLevelResult(
-                    **{
-                        metric: store.array((i, j, metric)).copy()
-                        for metric in _CLOSED_LOOP_METRICS
-                    },
-                    steps=steps[g],
-                    class_average_cost=(
-                        {
-                            label: store.array((i, j, "class_cost", label)).copy()
-                            for label in labels
-                        }
-                        if labels
-                        else None
-                    ),
-                    class_recovery_frequency=(
-                        {
-                            label: store.array((i, j, "class_recovery", label)).copy()
-                            for label in labels
-                        }
-                        if labels
-                        else None
-                    ),
-                    profile=merged[g] if profile else None,
-                )
-        return table
-    finally:
-        store.close()
+    shards = _plan_shards(num_envs, n_jobs, len(groups))
+    tasks = [(g, lo, hi) for g in range(len(groups)) for lo, hi in shards]
+    parts: dict = {}
+    for results in _map_tasks(spec, _run_closed_loop_shard, tasks, n_jobs):
+        for pair, result in results.items():
+            parts.setdefault(pair, []).append(result)
+    return {
+        (key, cell.name): _join(parts[(i, j)])
+        for i, (key, _) in enumerate(scenarios)
+        for j, cell in enumerate(cells)
+    }
 
 
 def parallel_engine_sweep_table(
@@ -514,86 +314,53 @@ def parallel_engine_sweep_table(
     The sharded counterpart of
     :func:`~repro.control.sweep.engine_fleet_sweep`'s inner loop: each
     shard replays its episode rows of the shared uniform buffer through
-    :meth:`~repro.sim.BatchRecoveryEngine.run`, writes the per-(episode,
-    node) statistics into shared memory, and the join assembles
-    bit-identical :class:`~repro.sim.BatchSimulationResult` tables.
+    :meth:`~repro.sim.BatchRecoveryEngine.run` and returns its
+    per-(episode, node) statistics; the join concatenates them in shard
+    order into bit-identical :class:`~repro.sim.BatchSimulationResult`
+    tables.
     """
     n_jobs = validate_n_jobs(n_jobs)
     scenarios = tuple((key, scenario) for key, scenario in scenarios)
     strategy_items = tuple(strategies.items())
     if not scenarios or not strategy_items:
         return {}
-    entropy = resolve_root_entropy(seed)
+    spec = _EngineSweepSpec(
+        scenarios=scenarios,
+        strategies=strategy_items,
+        entropy=resolve_entropy(seed),
+        profile=profile,
+    )
     shards = _plan_shards(num_episodes, n_jobs, len(scenarios) * len(strategy_items))
-
-    layout: dict = {}
-    for i, (_, scenario) in enumerate(scenarios):
-        for j in range(len(strategy_items)):
-            for metric, dtype in _ENGINE_METRICS.items():
-                layout[(i, j, metric)] = ((num_episodes, scenario.num_nodes), dtype)
-            if scenario.f is not None:
-                layout[(i, j, "availability")] = ((num_episodes,), "<f8")
-
-    store = SharedResultStore.allocate(layout)
     tasks = [
         (i, j, lo, hi)
         for i in range(len(scenarios))
         for lo, hi in shards
         for j in range(len(strategy_items))
     ]
-    spec = _EngineSweepSpec(
-        scenarios=scenarios,
-        strategies=strategy_items,
-        num_episodes=num_episodes,
-        entropy=entropy,
-        store=store.descriptor(),
-        profile=profile,
-    )
-    try:
-        outcomes = _map_tasks(spec, _run_engine_shard, tasks, n_jobs, store)
-        table: dict = {}
-        for i, (key, scenario) in enumerate(scenarios):
-            for j, (name, _) in enumerate(strategy_items):
-                steps = max(s for si, sj, s, _ in outcomes if (si, sj) == (i, j))
-                merged = EngineProfile.merge(
-                    *(p for si, sj, _, p in outcomes if (si, sj) == (i, j))
-                )
-                table[(key, name)] = BatchSimulationResult(
-                    **{
-                        metric: store.array((i, j, metric)).copy()
-                        for metric in _ENGINE_METRICS
-                    },
-                    steps=steps,
-                    availability=(
-                        store.array((i, j, "availability")).copy()
-                        if scenario.f is not None
-                        else None
-                    ),
-                    profile=merged if profile else None,
-                )
-        return table
-    finally:
-        store.close()
+    parts: dict = {}
+    for (i, j, _, _), result in zip(tasks, _map_tasks(spec, _run_engine_shard, tasks, n_jobs)):
+        parts.setdefault((i, j), []).append(result)
+    return {
+        (key, name): _join(parts[(i, j)])
+        for i, (key, _) in enumerate(scenarios)
+        for j, (name, _) in enumerate(strategy_items)
+    }
 
 
-def _map_tasks(spec, runner, tasks, n_jobs: int, store: SharedResultStore) -> list:
+def _map_tasks(spec, runner, tasks, n_jobs: int) -> list:
     """Run the shard tasks on a worker pool (in-process when pointless).
 
     A single worker — or a single task — skips the pool entirely and runs
-    the identical shard code in-process against the parent-owned store,
-    which keeps ``n_jobs=2`` usable on one-core machines for parity
-    testing without fork overhead dominating.
+    the identical shard code in-process, which keeps ``n_jobs=2`` usable
+    on one-core machines for parity testing without fork overhead
+    dominating.  Results come back in task order.
     """
     jobs = _effective_jobs(n_jobs, len(tasks))
     if jobs == 1:
-        _init_worker(spec, store=store)
+        _init_worker(spec)
         try:
             return [runner(task) for task in tasks]
         finally:
             _WORKER.clear()
-    context = _pool_context()
-    unregister = context.get_start_method() != "fork"
-    with context.Pool(
-        jobs, initializer=_init_worker, initargs=(spec, None, unregister)
-    ) as pool:
+    with _pool_context().Pool(jobs, initializer=_init_worker, initargs=(spec,)) as pool:
         return pool.map(runner, tasks)

@@ -457,7 +457,7 @@ def train_ppo_replication(
             replication_strategy=strategy,
             initial_nodes=initial_nodes,
             k=k,
-            engine=controller.env.engine,
+            engine=controller.engine,
         )
         evaluation = evaluator.run(seed=int(rng.integers(2 ** 31)))
     return PPOReplicationResult(

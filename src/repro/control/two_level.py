@@ -3,13 +3,11 @@
 :class:`TwoLevelController` runs ``B`` fleet episodes of the paper's full
 control architecture at once:
 
-* **node level** — per-slot belief updates and recovery actions through a
-  :class:`~repro.envs.VectorRecoveryEnv` over the bit-exact
-  :class:`~repro.sim.BatchRecoveryEngine` (the controller computes its own
-  active-masked CMDP states, so it skips
-  :class:`~repro.envs.FleetVectorEnv`'s whole-fleet bookkeeping), with the
-  ``k``-parallel-recovery limit of Proposition 1c granted to the most
-  suspicious requests;
+* **node level** — per-slot belief updates and recovery actions on the
+  bit-exact :class:`~repro.sim.BatchRecoveryEngine`, stepped by a
+  one-member :class:`~repro.control.cohort.Cohort` (the runner of the
+  sweeps and the decision service), with the ``k``-parallel-recovery limit
+  of Proposition 1c granted to the most suspicious requests;
 * **system level** — eviction, CMDP-state computation, replication
   decisions and the Prop. 1 emergency-add invariant through a
   :class:`~repro.control.vector_system.VectorSystemController` with a
@@ -65,7 +63,6 @@ from ..core.strategies import (
 from ..core.system_controller import SystemController
 from ..envs.base import VectorObservation
 from ..envs.policies import StrategyPolicy, VectorPolicy
-from ..envs.vector_recovery import VectorRecoveryEnv
 from ..sim import BatchRecoveryEngine, FleetScenario
 from ..sim.kernels import EngineProfile
 from ..sim.seeding import Streams, resolve_entropy, spawn_streams
@@ -284,26 +281,19 @@ def _is_value(strategy: object) -> bool:
 class TwoLevelLoop:
     """Incremental executor of the batched two-level loop, one tick at a time.
 
-    The loop owns everything :meth:`TwoLevelController.run` accumulates
-    between engine steps — the active-slot mask, the metric accumulators,
-    the per-episode :class:`VectorSystemController` and the optional
-    decision/system traces — but **not** the engine state, which its driver
-    advances between :meth:`pre_step` and :meth:`post_step`:
-
-    * :meth:`TwoLevelController.run` drives the loop to the horizon with
-      its own :class:`~repro.envs.VectorRecoveryEnv` (one fleet batch per
-      engine call);
-    * a :class:`~repro.control.cohort.Cohort` — the runner of the
-      closed-loop sweeps, their shards and the decision service — drives
-      one loop per *control group* (the members of a cohort whose
-      :meth:`TwoLevelController.control_key` is equal) over the group's
-      concatenated episode axis, around an engine step shared by the
-      whole cohort.
-
-    Both drivers execute the identical per-tick arithmetic, which is what
-    makes cohort rows bit-identical to a direct
-    :meth:`TwoLevelController.run` on the same ``SeedSequence`` tree
-    (asserted in ``tests/test_cohort_runner.py``).
+    The loop owns everything a closed-loop run accumulates between engine
+    steps — the active-slot mask, the metric accumulators, the per-episode
+    :class:`VectorSystemController` and the optional decision/system
+    traces — but **not** the engine state.  Its one driver is a
+    :class:`~repro.control.cohort.Cohort` (behind
+    :meth:`TwoLevelController.run`, the closed-loop sweeps, their shards
+    and the decision service), which runs one loop per *control group*
+    (the members whose :meth:`TwoLevelController.control_key` is equal)
+    over the group's concatenated episode axis and advances the engine
+    state shared by the whole cohort between :meth:`pre_step` and
+    :meth:`post_step`.  The independent oracle of this arithmetic is
+    :meth:`TwoLevelController.run_scalar_reference`
+    (``tests/test_cohort_runner.py``, ``tests/test_control_plane.py``).
 
     One tick is::
 
@@ -321,14 +311,10 @@ class TwoLevelLoop:
     """
 
     def __init__(
-        self,
-        controller: "TwoLevelController",
-        system: VectorSystemController,
-        policy_rng: np.random.Generator | None = None,
+        self, controller: "TwoLevelController", system: VectorSystemController
     ) -> None:
         self.controller = controller
         self.system = system
-        self.policy_rng = policy_rng
         batch, slots = system.num_episodes, controller.smax
         self.t = 0
         self.active = np.zeros((batch, slots), dtype=bool)
@@ -369,8 +355,7 @@ class TwoLevelLoop:
 
         Returns the engine recover mask (granted voluntary recoveries plus
         every standby slot) **without** the BTR overrides — the driver ORs
-        ``observation.forced`` in when it steps the engine, exactly as
-        :meth:`~repro.envs.VectorRecoveryEnv.step` does.
+        ``observation.forced`` in when it steps the engine.
         """
         if self.done:
             raise RuntimeError("the loop is done (horizon reached)")
@@ -384,7 +369,7 @@ class TwoLevelLoop:
             active=active,
         )
         voluntary = (
-            np.asarray(controller.recovery_policy.act(policy_observation, self.policy_rng))
+            np.asarray(controller.recovery_policy.act(policy_observation))
             .astype(bool)
             & active
             & ~forced
@@ -402,18 +387,15 @@ class TwoLevelLoop:
         return granted | ~active
 
     def post_step(
-        self,
-        observation: VectorObservation,
-        costs: np.ndarray,
-        info: dict,
-        on_step: Callable[[TwoLevelStepEvent], None] | None = None,
+        self, observation: VectorObservation, costs: np.ndarray, info: dict
     ) -> TwoLevelStepEvent:
         """System level: account the step and take the replication decision.
 
         ``observation``/``costs``/``info`` are the engine step's outputs
         (post-step beliefs, per-slot costs, ``crashed``/``failed_mask``).
         Returns the step's :class:`TwoLevelStepEvent` — the per-tick
-        decision record the service hands back to its clients.
+        decision record ``run(on_step=...)`` observers and the service's
+        clients receive.
         """
         controller = self.controller
         active = self.active
@@ -459,9 +441,6 @@ class TwoLevelLoop:
             active=active,
             available=step_available,
         )
-        if on_step is not None:
-            on_step(event)
-
         if self.trace is not None:
             self.trace.states.append(decision.state)
             self.trace.adds.append(decision.add_node)
@@ -561,7 +540,8 @@ class TwoLevelController:
             are granted per episode-step (most suspicious beliefs first);
             BTR-forced recoveries are always executed.
         engine: Optional pre-built engine for ``scenario`` (sharing one
-            across controllers skips recompiling the scenario kernels).
+            across controllers skips recompiling the scenario kernels, and
+            controllers that share one may share a cohort).
         record_system_trace: Record the per-step :class:`SystemTrace`
             (required by the PPO replication trainer and the
             system-identification loop).
@@ -614,7 +594,10 @@ class TwoLevelController:
             if hasattr(recovery_policy, "act")
             else StrategyPolicy(recovery_policy)
         )
-        self.env = VectorRecoveryEnv(scenario, num_envs, engine)
+        if num_envs < 1:
+            raise ValueError("num_envs must be >= 1")
+        self.num_envs = num_envs
+        self.engine = engine if engine is not None else BatchRecoveryEngine(scenario)
         self.record_system_trace = record_system_trace
         self.record_decisions = record_decisions
         self.system_trace: SystemTrace | None = None
@@ -653,10 +636,6 @@ class TwoLevelController:
             ]
 
     # -- interface properties ----------------------------------------------------
-    @property
-    def num_envs(self) -> int:
-        return self.env.num_envs
-
     @property
     def horizon(self) -> int:
         return self.scenario.horizon
@@ -727,18 +706,16 @@ class TwoLevelController:
     def run(
         self,
         seed: int | None = None,
-        policy_rng: np.random.Generator | None = None,
         on_step: Callable[[TwoLevelStepEvent], None] | None = None,
         profile: bool = False,
     ) -> TwoLevelResult:
-        """Run one batch of ``B`` closed-loop episodes.
+        """Run one batch of ``B`` closed-loop episodes as a one-member cohort.
 
         Args:
             seed: Episode seed; seeds the engine's per-(episode, node)
                 streams and the per-episode system-controller streams from
-                one ``SeedSequence`` tree.
-            policy_rng: Generator handed to stochastic node-level policies
-                (deterministic strategies ignore it).
+                one ``SeedSequence`` tree (``None`` draws one fresh root
+                for both).
             on_step: Observer called once per step with a
                 :class:`TwoLevelStepEvent` after the step's recoveries,
                 evictions and additions have been applied; the consensus
@@ -747,42 +724,38 @@ class TwoLevelController:
             profile: Record the engine's per-phase wall-clock time into
                 :attr:`TwoLevelResult.profile`.
 
-        An episode shard of a larger run — rows ``[lo, hi)`` of it — runs
-        as a :class:`~repro.control.cohort.CohortMember` instead.
+        The same :class:`~repro.control.cohort.Cohort` steps the sweeps,
+        their episode shards (a member for rows ``[lo, hi)`` of a larger
+        run) and the decision service.
         """
-        env = self.env
-        observation = env.reset(seed=seed, profile=profile)
-        loop = self.begin_loop(seed=seed, policy_rng=policy_rng)
-        for _ in range(self.horizon):
-            mask = loop.pre_step(observation)
-            observation, costs, _, info = env.step(mask)
-            loop.post_step(observation, costs, info, on_step)
+        from .cohort import Cohort, CohortMember
 
+        cohort = Cohort(self.engine, profile)
+        member = cohort.add(CohortMember(self, seed))
+        while not cohort.done:
+            for _, event in cohort.advance():
+                if on_step is not None:
+                    on_step(event)
+        loop = member.group.loop
         self.last_decision_trace = loop.trace
         if self.record_system_trace:
             self.system_trace = loop.build_system_trace()
-        return loop.result(profile=env.profile if profile else None)
+        return cohort.result(member)
 
     def begin_loop(
-        self,
-        seed: int | None = None,
-        policy_rng: np.random.Generator | None = None,
-        system_streams: Streams | None = None,
-        num_episodes: int | None = None,
+        self, system_streams: Streams | None = None, num_episodes: int | None = None
     ) -> TwoLevelLoop:
         """Create the incremental per-tick executor of this controller's loop.
 
-        :meth:`run` drives the returned :class:`TwoLevelLoop` to the
-        horizon around its own environment; a cohort
-        (:mod:`repro.control.cohort`) drives it one tick at a time around
-        a fused engine step shared with other fleets.  The system-controller streams follow the same
-        convention as :meth:`run` (tail children of the shared episode seed
-        tree unless given explicitly).
-
-        ``num_episodes`` (default :attr:`num_envs`) sizes the loop for a
-        control group: a cohort stacks the episodes of every member with
-        an equal :meth:`control_key` into one loop and passes the
-        concatenation of their stream segments.
+        A cohort (:mod:`repro.control.cohort`) drives the returned
+        :class:`TwoLevelLoop` one tick at a time around a fused engine step.
+        ``system_streams`` are the per-episode system-controller streams
+        (see :meth:`_system_streams`; ``None`` for a replication strategy
+        that draws no randomness).  ``num_episodes`` (default
+        :attr:`num_envs`) sizes the loop for a control group: a cohort
+        stacks the episodes of every member with an equal
+        :meth:`control_key` into one loop and passes the concatenation of
+        their stream segments.
         """
         system = VectorSystemController(
             f=self.f,
@@ -792,13 +765,9 @@ class TwoLevelController:
             enforce_invariant=self.enforce_invariant,
             num_episodes=self.num_envs if num_episodes is None else num_episodes,
             horizon=self.horizon,
-            streams=(
-                system_streams
-                if system_streams is not None
-                else self._system_streams(seed)
-            ),
+            streams=system_streams,
         )
-        return TwoLevelLoop(self, system, policy_rng)
+        return TwoLevelLoop(self, system)
 
     def _activate_slots(
         self,
@@ -865,7 +834,7 @@ class TwoLevelController:
         trace (:attr:`last_decision_trace`) matches :meth:`run` exactly
         under a shared seed.
         """
-        engine = self.env.engine
+        engine = self.engine
         batch, slots = self.num_envs, self.smax
         if engine.is_dynamic and seed is None:
             seed = resolve_entropy(None)

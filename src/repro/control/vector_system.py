@@ -86,16 +86,16 @@ def expected_healthy_nodes_batch(
 ) -> np.ndarray:
     """Per-episode CMDP state ``s_t = floor(sum_i (1 - b_i))`` (Eq. 8).
 
-    Accumulates slot by slot (vectorized over episodes) so the float
+    Masks the ``(B, N)`` block once, then accumulates slot by slot
+    (vectorized over episodes, never ``sum(axis=1)``) so the float
     addition order matches the scalar controller's Python ``sum`` over its
     belief dict — the bit-parity requirement; a masked slot contributes an
     exact ``+0.0``.
     """
-    beliefs = np.asarray(beliefs, dtype=float)
-    reporting = np.asarray(reporting, dtype=bool)
-    total = np.zeros(beliefs.shape[0])
-    for j in range(beliefs.shape[1]):
-        total += np.where(reporting[:, j], 1.0 - beliefs[:, j], 0.0)
+    healthy = np.where(reporting, 1.0 - np.asarray(beliefs, dtype=float), 0.0)
+    total = np.zeros(healthy.shape[0])
+    for j in range(healthy.shape[1]):
+        total += healthy[:, j]
     return np.clip(np.floor(total), 0, smax).astype(np.int64)
 
 

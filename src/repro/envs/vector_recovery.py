@@ -35,6 +35,11 @@ __all__ = ["VectorRecoveryEnv", "FleetVectorEnv"]
 class VectorRecoveryEnv:
     """Batched step/reset environment over the vectorized recovery simulator.
 
+    It serves the PPO rollout collector and :func:`~repro.envs.rollout`.
+    The closed two-level loop does not step it: ``TwoLevelController.run``
+    and the sweeps advance the engine through a
+    :class:`~repro.control.cohort.Cohort`.
+
     Args:
         scenario: The fleet of node POMDPs one episode simulates.
         num_envs: Number of independent episodes ``B`` advanced per step.
@@ -104,64 +109,18 @@ class VectorRecoveryEnv:
         return self._sim is not None and self._sim.t >= self.horizon
 
     # -- step/reset -------------------------------------------------------------
-    def reset(
-        self,
-        seed: int | None = None,
-        uniforms: np.ndarray | None = None,
-        profile: bool = False,
-        adversary_uniforms: np.ndarray | None = None,
-    ) -> VectorObservation:
+    def reset(self, seed: int | None = None) -> VectorObservation:
         """Start ``B`` fresh episodes from the per-episode seed tree.
 
         ``seed`` seeds the same ``SeedSequence`` tree the scalar simulator
-        and :meth:`BatchRecoveryEngine.run` use; ``None`` draws OS entropy
-        (non-reproducible), matching their convention.
-
-        ``uniforms`` bypasses the seed tree with a pre-drawn
-        ``(num_envs, N, width)`` buffer — e.g. a contiguous episode slice
-        of :meth:`~repro.sim.BatchRecoveryEngine.draw_uniforms`, which is
-        how the sharded sweeps of :mod:`repro.control.parallel` replay
-        rows ``[lo, hi)`` of a larger batch bit for bit.  Mutually
-        exclusive with ``seed``.  When the scenario carries a dynamic
-        :class:`~repro.sim.adversary.AdversaryProcess`, pass the matching
-        episode slice of
-        :meth:`~repro.sim.BatchRecoveryEngine.draw_adversary_uniforms` as
-        ``adversary_uniforms`` (the seed path draws it automatically).
-        ``profile=True`` attaches an
-        :class:`~repro.sim.kernels.EngineProfile` (read it back via
-        :attr:`profile`).
+        and :meth:`BatchRecoveryEngine.run` use (a dynamic adversary's
+        streams included); ``None`` draws OS entropy (non-reproducible),
+        matching their convention.
         """
-        if uniforms is not None:
-            if seed is not None:
-                raise ValueError("pass either uniforms or seed, not both")
-            uniforms = np.asarray(uniforms, dtype=float)
-            if uniforms.ndim != 3 or uniforms.shape[0] != self._num_envs:
-                raise ValueError(
-                    f"uniforms must have shape (num_envs={self._num_envs}, "
-                    f"num_nodes, width), got {uniforms.shape}"
-                )
-            self._sim = self.engine.begin(
-                uniforms=uniforms,
-                track_metrics=self._track_metrics,
-                profile=profile,
-                adversary_uniforms=adversary_uniforms,
-            )
-        else:
-            self._sim = self.engine.begin(
-                self._num_envs,
-                seed=seed,
-                track_metrics=self._track_metrics,
-                profile=profile,
-                adversary_uniforms=adversary_uniforms,
-            )
+        self._sim = self.engine.begin(
+            self._num_envs, seed=seed, track_metrics=self._track_metrics
+        )
         return self._observation()
-
-    @property
-    def profile(self):
-        """The :class:`~repro.sim.kernels.EngineProfile` of the current
-        episode batch, when it was requested with ``reset(profile=True)``;
-        else ``None``."""
-        return self._sim.profile if self._sim is not None else None
 
     def step(
         self, recover: np.ndarray
@@ -296,19 +255,8 @@ class FleetVectorEnv(VectorRecoveryEnv):
             states[label] = np.clip(np.floor(total), 0, len(slots)).astype(np.int64)
         return states
 
-    def reset(
-        self,
-        seed: int | None = None,
-        uniforms: np.ndarray | None = None,
-        profile: bool = False,
-        adversary_uniforms: np.ndarray | None = None,
-    ) -> VectorObservation:
-        observation = super().reset(
-            seed,
-            uniforms=uniforms,
-            profile=profile,
-            adversary_uniforms=adversary_uniforms,
-        )
+    def reset(self, seed: int | None = None) -> VectorObservation:
+        observation = super().reset(seed)
         self._system_states = [self.expected_healthy_nodes()]
         if self._class_slots is not None:
             self._class_states = {

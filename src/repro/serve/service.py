@@ -274,9 +274,9 @@ class DecisionService:
             key = scenario_key(controller.scenario)
             if key is None:
                 # No content key: the session shares no engine and no cohort.
-                engine, cohort = controller.env.engine, None
+                engine, cohort = controller.engine, None
             else:
-                engine = self._engines.setdefault(key, controller.env.engine)
+                engine = self._engines.setdefault(key, controller.engine)
                 cohort = self._open_cohorts.get(key) if self.coalesce else None
             session = _Session(f"s{next(self._ids)}", controller, seed)
             if cohort is None or cohort.sealed:

@@ -3,10 +3,12 @@
 Every closed-loop sweep (serial or sharded) and the decision service step
 their fleets through one runner, :class:`repro.control.cohort.Cohort`, so
 comparing ``n_jobs=1`` with ``n_jobs > 1`` cannot catch a bug in the runner
-itself.  This suite checks every sweep table cell bit for bit against a
-direct ``TwoLevelController(...).run(seed=seed)``, which steps its own
-engine state one fleet at a time and shares no row map, control group or
-stacked seed segments with the runner:
+itself — and ``TwoLevelController.run`` is a one-member cohort, so it is no
+oracle either.  This suite checks every sweep table cell bit for bit
+against ``TwoLevelController(...).run_scalar_reference(seed=seed)``, which
+runs one episode at a time with the scalar ``SystemController`` and shares
+no row map, control group, fused state or stacked seed segments with the
+runner:
 
 * ``closed_loop_sweep`` with ``n1`` values of equal ``f`` (one cohort whose
   cells differ in ``initial_nodes``) and of unequal ``f`` (two cohorts);
@@ -83,7 +85,7 @@ def _cells() -> list[ClosedLoopCell]:
 
 
 def _direct(scenario, cell, num_envs, seed, initial_nodes=None, k=1):
-    """The oracle: one fleet, its own engine state, a direct run."""
+    """The oracle: the scalar reference, one episode at a time."""
     return TwoLevelController(
         scenario,
         num_envs,
@@ -93,7 +95,7 @@ def _direct(scenario, cell, num_envs, seed, initial_nodes=None, k=1):
         k=k,
         enforce_invariant=cell.enforce_invariant,
         respect_recovery_limit=cell.respect_recovery_limit,
-    ).run(seed=seed)
+    ).run_scalar_reference(seed=seed)
 
 
 def _assert_equal(ours, theirs):
@@ -313,5 +315,5 @@ class TestCohort:
         for member, (b, seed) in zip(members, specs):
             direct = TwoLevelController(
                 scenario, b, ThresholdStrategy(0.75), _lagrangian()
-            ).run(seed=seed)
+            ).run_scalar_reference(seed=seed)
             _assert_equal(cohort.result(member), direct)

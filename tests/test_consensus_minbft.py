@@ -490,3 +490,31 @@ class TestVoteAuthentication:
         target.on_message("replica-1", own, 0)
         assert target.commit_votes[honest_key] == {"replica-1", "replica-3"}
         assert target.executed_sequence == 1
+
+    def test_a_prepare_counts_only_from_the_leader(self):
+        from repro.consensus import Prepare
+
+        cluster = MinBFTCluster(num_replicas=4, seed=11)
+        client = MinBFTClient("client-0", cluster)
+        byzantine = cluster.replicas["replica-1"]
+        target = cluster.replicas["replica-2"]
+        request = client._build_request("write", "x", 1)
+        content = Prepare.content_digest_of(0, 1, request.payload_digest)
+        # Replica-1 claims the leader's role with a UI from its own USIG ...
+        injected = Prepare(
+            view=0,
+            sequence=1,
+            request=request,
+            leader_id="replica-0",
+            ui=byzantine.usig.create_ui(content),
+        )
+        target.on_message("replica-1", injected, 0)
+        # ... or relays a PREPARE under the leader's name that it signed itself.
+        target.on_message("replica-0", injected, 0)
+        assert target.prepare_log == {}
+        assert request.identifier not in target.pending_client_requests
+        # The leader's own PREPARE is accepted.
+        leader = cluster.replicas["replica-0"]
+        leader._handle_request(request, tick=0)
+        target.on_message("replica-0", leader.prepare_log[1], 0)
+        assert target.prepare_log[1] is leader.prepare_log[1]

@@ -44,14 +44,12 @@ from repro.control import (
 )
 from repro.control.parallel import (
     parallel_closed_loop_table,
-    resolve_root_entropy,
     shard_episodes,
-    shard_uniforms,
     validate_n_jobs,
 )
 from repro.control.two_level import TwoLevelController
 from repro.control.policy_cache import fitted_model_key
-from repro.sim.seeding import uniform_streams
+from repro.sim.seeding import resolve_entropy, uniform_streams
 from repro.core import (
     BetaBinomialObservationModel,
     MixedReplicationStrategy,
@@ -155,19 +153,19 @@ class TestShardingPrimitives:
             for row, child in enumerate(children[2:]):
                 assert rebuilt[row].tolist() == np.random.default_rng(child).random(8).tolist()
 
-    def test_resolve_root_entropy(self):
-        assert resolve_root_entropy(42) == 42
-        drawn = resolve_root_entropy(None)
-        assert isinstance(drawn, int) and drawn != resolve_root_entropy(None)
+    def test_resolve_entropy(self):
+        assert resolve_entropy(42) == 42
+        drawn = resolve_entropy(None)
+        assert isinstance(drawn, int) and drawn != resolve_entropy(None)
 
-    def test_shard_uniforms_slices_the_engine_seed_tree(self, observation_model):
+    def test_range_members_slice_the_engine_seed_tree(self, observation_model):
         scenario = FleetScenario.homogeneous(
             PARAMS, observation_model, num_nodes=4, horizon=10, f=1
         )
         engine = BatchRecoveryEngine(scenario)
         full = engine.draw_uniforms(5, num_episodes=6)
         for lo, hi in ((0, 2), (2, 5), (5, 6), (0, 6)):
-            shard = shard_uniforms(5, lo, hi, scenario.num_nodes, 2 * scenario.horizon)
+            shard = engine.draw_uniforms([(5, range(lo, hi))], memoize=False)
             np.testing.assert_array_equal(shard, full[lo:hi])
 
 
@@ -316,6 +314,67 @@ class TestSweepParity:
                 horizon=5,
                 n_jobs=-2,
             )
+
+
+#: Runs both kinds of sharded sweep, then prints the pids of the process's
+#: live children.  ``/proc/self/task/*/children`` lists them where the
+#: kernel provides it; elsewhere the parent pids in ``/proc/*/stat`` do.
+_SWEEPS_THEN_LIST_CHILDREN = """
+import glob, json, os
+from repro.control import ClosedLoopCell, closed_loop_sweep, engine_fleet_sweep
+from repro.core import BetaBinomialObservationModel, NodeParameters, ThresholdStrategy
+
+params, model = NodeParameters(p_a=0.1), BetaBinomialObservationModel()
+cells = [ClosedLoopCell("tolerance", ThresholdStrategy(0.75))]
+closed_loop_sweep([4], cells, params, model, smax=6, num_envs=4, horizon=5, n_jobs=2)
+engine_fleet_sweep(
+    [4], {"t": ThresholdStrategy(0.75)}, params, model, num_episodes=4, horizon=5, n_jobs=2
+)
+
+def children():
+    listed = glob.glob("/proc/self/task/*/children")
+    if listed:
+        return sorted(int(pid) for path in listed for pid in open(path).read().split())
+    found = []
+    for path in glob.glob("/proc/[0-9]*/stat"):
+        try:
+            with open(path) as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == os.getpid():
+            found.append(int(path.split("/")[2]))
+    return sorted(found)
+
+print(json.dumps(children()))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux /proc")
+def test_sharded_sweeps_leave_no_process_behind():
+    """After ``n_jobs=2`` sweeps return, the caller has no child process left.
+
+    Neither a pool worker nor a ``multiprocessing`` helper (such as the
+    resource tracker a shared-memory block starts) may outlive the sweep.
+    """
+    import json
+    import os
+    import subprocess
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    completed = subprocess.run(
+        [sys.executable, "-c", _SWEEPS_THEN_LIST_CHILDREN],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert json.loads(completed.stdout.splitlines()[-1]) == []
 
 
 class TestEngineProfileMerge:

@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.control.parallel import shard_uniforms
 from repro.core import BetaBinomialObservationModel, NodeParameters
 from repro.sim import BatchRecoveryEngine, FleetScenario
 from repro.sim.seeding import spawn_streams, uniform_streams
@@ -90,16 +89,16 @@ def test_spawn_streams_are_the_scalar_form():
     )
 
 
-def test_shard_uniforms_rows_equal_the_slice_of_the_full_draw():
+def test_range_members_equal_the_slice_of_the_full_draw():
     params = NodeParameters(p_a=0.1, p_c1=1e-5, p_c2=1e-3, p_u=0.02, eta=2.0)
     scenario = FleetScenario.homogeneous(
         params, BetaBinomialObservationModel(n=10), num_nodes=3, horizon=9, f=1
     )
-    full = BatchRecoveryEngine(scenario).draw_uniforms(11, 7)
+    engine = BatchRecoveryEngine(scenario)
+    full = engine.draw_uniforms(11, 7)
     for lo, hi in ((0, 7), (1, 4), (6, 7)):
         np.testing.assert_array_equal(
-            shard_uniforms(11, lo, hi, scenario.num_nodes, 2 * scenario.horizon),
-            full[lo:hi],
+            engine.draw_uniforms([(11, range(lo, hi))], memoize=False), full[lo:hi]
         )
 
 
