@@ -31,9 +31,11 @@ package closes that loop on the batched simulation path:
   sweep takes ``n_jobs=`` to shard its episodes across worker processes
   (:mod:`~repro.control.parallel`) with bit-identical results;
 * :mod:`~repro.control.cohort` — the one runner that steps many fleets
-  on one scenario as a single fused engine state (one engine step per
-  tick, one loop per control group): the closed-loop sweeps, their
-  shards and the decision service all run on it;
+  on one scenario as a single fused engine state and ONE
+  :class:`TwoLevelLoop` (one ``pre_step``, one engine step and one
+  ``post_step`` per tick, each fleet's configuration as per-row data):
+  the closed-loop sweeps, their shards, the decision service and
+  :meth:`TwoLevelController.run` all run on it;
 * :mod:`~repro.control.policy_cache` — the fitted-model-keyed cache of
   Algorithm 2 / Lagrangian solves (:class:`PolicySolveCache`): refits
   that reproduce an already-solved kernel skip the solver entirely.

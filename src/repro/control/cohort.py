@@ -9,34 +9,37 @@ shards (:mod:`repro.control.parallel`), the decision service
 (:mod:`repro.serve.service`) and :meth:`TwoLevelController.run
 <repro.control.TwoLevelController.run>`, which is a one-member cohort.
 
-Control groups
-    Members whose :meth:`~repro.control.TwoLevelController.control_key` is
-    equal — the recovery and replication strategies compared by value,
-    ``f``, ``k``, ``smax``, ``initial_nodes`` and the two limit flags —
-    form a :class:`ControlGroup`: ONE :class:`~repro.control.TwoLevelLoop`
-    over the members' stacked episodes, whose system controller holds the
-    concatenation of every member's per-episode streams (the tail children
-    of the member's seed tree).  A member whose configuration cannot be
-    compared (a custom policy, an unhashable strategy, a recorded trace)
-    is a group of one, run by the same code.
+One loop, configurations as row data
+    A sealed cohort builds ONE :class:`~repro.control.TwoLevelLoop` over
+    all its members' episodes, whatever their configurations.  Each
+    member's ``k``, ``initial_nodes`` and limit flags become the loop's
+    per-row arrays, its threshold, periodic or no-recovery strategies rows
+    of the ``alpha``/``due`` recovery tables, and its replication strategy
+    rows of the system controller's add-probability table; a policy that
+    is no such data (a custom policy, a time-indexed or learned strategy,
+    a class-aware replication strategy) acts on the member's own rows.
+    ``f``, ``smax``, the horizon and the class slots are the scenario's,
+    equal across the cohort by :func:`scenario_key`.  The system
+    controller holds the concatenation of the per-episode streams (the
+    tail children of the member's seed tree) of every member whose
+    replication strategy draws randomness.
 
 Rows and the row map
-    At the first tick (the *seal*) every group gets a contiguous block of
-    engine rows and every member a contiguous block ``[lo, hi)`` of its
-    group's rows.  Members that consume the same streams — an equal seed
-    and episode range, as every cell of a common-random-number sweep does
-    — draw their uniform buffer once: one ``draw_uniforms`` call over the
-    distinct ``(seed, episodes)`` sources fills a buffer with one block per
-    source, and the fused state maps each of its rows to its member's
-    buffer row.  The map lives in the engine's ``stream_rows`` offsets,
-    the only reader of the buffer, and in the adversary buffer's row
-    gather, so shared streams are never copied.
+    At the first tick (the *seal*) every member gets a contiguous block
+    ``[lo, hi)`` of the cohort's rows, in joining order.  Members that
+    consume the same streams — an equal seed and episode range, as every
+    cell of a common-random-number sweep does — draw their uniform buffer
+    once: one ``draw_uniforms`` call over the distinct ``(seed,
+    episodes)`` sources fills a buffer with one block per source, and the
+    fused state (``engine.begin(rows=...)``) maps each of its rows to its
+    member's buffer row.  The map lives in the engine's ``stream_rows``
+    offsets, the only reader of the buffer, and in the adversary buffer's
+    row gather, so shared streams are never copied.
 
 One tick
-    One ``pre_step`` per group, ONE ``engine.step`` for the whole cohort
-    and one ``post_step`` per group.  At the horizon the engine state (and
-    its buffer) is released; the group loops keep the accumulators
-    :meth:`Cohort.result` reads.
+    One ``pre_step``, ONE ``engine.step`` and one ``post_step`` for the
+    whole cohort.  At the horizon the engine state (and its buffer) is
+    released; the loop keeps the accumulators :meth:`Cohort.result` reads.
 
 Every engine row and every control row is independent of the others (the
 CMDP state, the Prop. 1c grant and the slot activation are all row-wise),
@@ -65,7 +68,6 @@ from .vector_system import VectorSystemDecision
 __all__ = [
     "Cohort",
     "CohortMember",
-    "ControlGroup",
     "event_rows",
     "scenario_key",
 ]
@@ -113,53 +115,21 @@ class CohortMember:
         self.seed = resolve_entropy(seed)
         self.episodes = range(first, first + controller.num_envs)
         self.batch = controller.num_envs if batch is None else batch
-        #: The member's rows ``[lo, hi)`` of its control group's loop.
+        #: The member's rows ``[lo, hi)`` of the cohort's loop and state.
         self.rows = slice(0, 0)
-        self.group: "ControlGroup | None" = None
         self.cohort: "Cohort | None" = None
 
 
-class ControlGroup:
-    """Members of one cohort with equal control configurations.
+def event_rows(event: TwoLevelStepEvent, member: CohortMember) -> TwoLevelStepEvent:
+    """One member's rows of a cohort's event (views, no copies).
 
-    One :class:`TwoLevelLoop`, built at seal over the members' stacked
-    episodes, steps the whole group; member ``i`` owns its rows
-    ``[lo_i, hi_i)`` of the loop and of every event the loop emits.
+    The class choice and action distribution are the member's own: ``None``
+    for a classless replication strategy, ``1 + C`` columns for one over
+    ``C`` classes — as in the member's direct run.
     """
-
-    def __init__(self) -> None:
-        self.members: list[CohortMember] = []
-        self.loop: TwoLevelLoop | None = None
-        #: The group's rows of the cohort's fused engine state.
-        self.rows = slice(0, 0)
-
-    def seal(self, lo: int) -> int:
-        """Assign rows from cohort row ``lo`` on and build the loop.
-
-        The loop's system controller receives the concatenation of every
-        member's per-episode stream segments, so row ``lo_i + b`` draws
-        exactly what episode ``b`` of the member's direct run draws.
-        Returns the cohort row after the group's last.
-        """
-        offset = 0
-        for member in self.members:
-            num_envs = member.controller.num_envs
-            member.rows = slice(offset, offset + num_envs)
-            offset += num_envs
-        self.rows = slice(lo, lo + offset)
-        parts = [
-            m.controller._system_streams(m.seed, m.episodes.start, m.batch)
-            for m in self.members
-        ]
-        streams = None if parts[0] is None else [seg for part in parts for seg in part]
-        self.loop = self.members[0].controller.begin_loop(
-            system_streams=streams, num_episodes=offset
-        )
-        return lo + offset
-
-
-def event_rows(event: TwoLevelStepEvent, rows: slice) -> TwoLevelStepEvent:
-    """One member's rows of a control group's event (views, no copies)."""
+    rows = member.rows
+    class_slots = member.controller._strategy_class_slots
+    classless = class_slots is None
     decision = event.decision
     return TwoLevelStepEvent(
         t=event.t,
@@ -174,13 +144,11 @@ def event_rows(event: TwoLevelStepEvent, rows: slice) -> TwoLevelStepEvent:
             add_probability=decision.add_probability[rows],
             capped=decision.capped[rows],
             node_count_after_eviction=decision.node_count_after_eviction[rows],
-            add_class=(
-                None if decision.add_class is None else decision.add_class[rows]
-            ),
+            add_class=None if classless else decision.add_class[rows],
             action_probabilities=(
                 None
-                if decision.action_probabilities is None
-                else decision.action_probabilities[rows]
+                if classless
+                else decision.action_probabilities[rows, : 1 + len(class_slots)]
             ),
         ),
         activated=event.activated[rows],
@@ -190,7 +158,7 @@ def event_rows(event: TwoLevelStepEvent, rows: slice) -> TwoLevelStepEvent:
 
 
 def _result_rows(result: TwoLevelResult, rows: slice) -> TwoLevelResult:
-    """One member's rows of a control group's result."""
+    """One member's rows of a cohort's result."""
 
     def per_class(metric):
         if metric is None:
@@ -231,8 +199,7 @@ class Cohort:
         self.engine = engine
         self.profile = profile
         self.members: list[CohortMember] = []
-        self.groups: list[ControlGroup] = []
-        self._keyed: dict[tuple, ControlGroup] = {}
+        self.loop: TwoLevelLoop | None = None
         self.sealed = False
         self.t = 0
         self.sim = None
@@ -249,111 +216,97 @@ class Cohort:
         return self.t >= self.engine.scenario.horizon
 
     def add(self, member: CohortMember) -> CohortMember:
-        """Join ``member`` to the group of its control key; returns it."""
+        """Join ``member`` to the cohort; returns it."""
         if self.sealed:
             raise RuntimeError("cannot join a sealed cohort")
-        key = member.controller.control_key()
-        group = self._keyed.get(key) if key is not None else None
-        if group is None:
-            group = ControlGroup()
-            self.groups.append(group)
-            if key is not None:
-                self._keyed[key] = group
-        group.members.append(member)
-        member.group = group
         member.cohort = self
         self.members.append(member)
         return member
 
     def seal(self) -> None:
-        """Build the group loops and draw the members' streams once per source.
+        """Build the loop and draw the members' streams once per source.
 
-        Engine rows are laid out group by group, members in joining order
-        within a group.  The distinct ``(seed, episodes)`` sources are
-        drawn in one ``draw_uniforms`` call (and one adversary draw); the
-        row map sends member ``i``'s rows to its source's block, which is
-        exactly ``engine.draw_uniforms(seed_i, B_i)`` for a whole run — the
-        buffer the scalar reference of ``seed_i`` consumes.
+        Engine rows are laid out member by member, in joining order.  The
+        distinct ``(seed, episodes)`` sources are drawn in one
+        ``draw_uniforms`` call (and one adversary draw); the row map sends
+        member ``i``'s rows to its source's block, which is exactly
+        ``engine.draw_uniforms(seed_i, B_i)`` for a whole run — the buffer
+        the scalar reference of ``seed_i`` consumes.
         """
-        lo = 0
-        for group in self.groups:
-            lo = group.seal(lo)
         sources: dict[tuple[int, range], int] = {}
         buffer_rows = 0
-        rows = np.empty(lo, dtype=np.int64)
-        for group in self.groups:
-            for member in group.members:
-                size = len(member.episodes)
-                source = (member.seed, member.episodes)
-                start = sources.get(source)
-                if start is None:
-                    start = sources[source] = buffer_rows
-                    buffer_rows += size
-                at = group.rows.start + member.rows.start
-                rows[at : at + size] = np.arange(start, start + size)
+        rows = np.empty(self.num_episodes, dtype=np.int64)
+        streams = []
+        lo = 0
+        for member in self.members:
+            controller = member.controller
+            size = controller.num_envs
+            member.rows = slice(lo, lo + size)
+            lo += size
+            source = (member.seed, member.episodes)
+            start = sources.get(source)
+            if start is None:
+                start = sources[source] = buffer_rows
+                buffer_rows += size
+            rows[member.rows] = np.arange(start, start + size)
+            streams += (
+                controller._system_streams(member.seed, member.episodes.start, member.batch)
+                or []
+            )
+        self.loop = TwoLevelLoop(
+            [(member.rows, member.controller) for member in self.members], streams
+        )
         engine = self.engine
-        members = list(sources)
-        self.sim = engine._begin(
-            engine.draw_uniforms(members, memoize=False),
-            adversary_uniforms=engine.draw_adversary_uniforms(members),
+        sources = list(sources)
+        self.sim = engine.begin(
+            uniforms=engine.draw_uniforms(sources, memoize=False),
+            profile=self.profile,
+            adversary_uniforms=engine.draw_adversary_uniforms(sources),
             rows=rows,
         )
-        if self.profile:
-            self.sim.profile = EngineProfile()
         self.engine_profile = self.sim.profile
         self._forced = engine.forced_recoveries(self.sim)
         self.sealed = True
 
-    def advance(self) -> list[tuple[ControlGroup, TwoLevelStepEvent]]:
-        """One fused tick: per group pre_step, ONE engine step, per group post_step.
+    def advance(self) -> TwoLevelStepEvent:
+        """One fused tick: ONE pre_step, ONE engine step, ONE post_step.
 
         The belief updates of the whole cohort land in a single fused
-        kernel call, the control plane in one call per group.  Returns
-        every group's event.
+        kernel call, the control plane in one loop call per phase.
+        Returns the cohort's event; :func:`event_rows` cuts out a member's.
         """
         if not self.sealed:
             self.seal()
         if self.done:
             raise RuntimeError("the cohort reached its horizon")
-        sim, engine = self.sim, self.engine
+        sim, engine, loop = self.sim, self.engine, self.loop
         forced = self._forced
-        masks = np.empty_like(forced)
-        for group in self.groups:
-            rows, loop = group.rows, group.loop
-            masks[rows] = loop.pre_step(
-                VectorObservation(
-                    beliefs=sim.belief[rows],
-                    time_since_recovery=sim.time_since_recovery[rows],
-                    forced=forced[rows],
-                    active=loop.active,
-                )
+        mask = loop.pre_step(
+            VectorObservation(
+                beliefs=sim.belief,
+                time_since_recovery=sim.time_since_recovery,
+                forced=forced,
+                active=loop.active,
             )
-        costs = engine.step(sim, masks | forced, btr_applied=True)
+        )
+        costs = engine.step(sim, mask | forced, btr_applied=True)
         forced = self._forced = engine.forced_recoveries(sim)
-        events = []
-        for group in self.groups:
-            rows, loop = group.rows, group.loop
-            event = loop.post_step(
-                VectorObservation(
-                    beliefs=sim.belief[rows],
-                    time_since_recovery=sim.time_since_recovery[rows],
-                    forced=forced[rows],
-                    active=loop.active,
-                ),
-                costs[rows],
-                {
-                    "t": sim.t,
-                    "crashed": sim.last_crashed[rows],
-                    "failed_mask": sim.last_failed_mask[rows],
-                },
-            )
-            events.append((group, event))
+        event = loop.post_step(
+            VectorObservation(
+                beliefs=sim.belief,
+                time_since_recovery=sim.time_since_recovery,
+                forced=forced,
+                active=loop.active,
+            ),
+            costs,
+            {"t": sim.t, "crashed": sim.last_crashed, "failed_mask": sim.last_failed_mask},
+        )
         self.t += 1
         if self.done:
             # Free the fused state and its (B, N, 2T) uniform buffer; the
-            # group loops hold everything result() needs.
+            # loop holds everything result() needs.
             self.sim = self._forced = None
-        return events
+        return event
 
     def run(self) -> None:
         """Advance to the horizon."""
@@ -361,10 +314,10 @@ class Cohort:
             self.advance()
 
     def result(self, member: CohortMember) -> TwoLevelResult:
-        """A finished member's rows of its group's result.
+        """A finished member's rows of the cohort's result.
 
         Carries the cohort's shared engine profile when the cohort was
         built with ``profile=True``.
         """
-        result = member.group.loop.result(profile=self.engine_profile)
+        result = self.loop.result(profile=self.engine_profile)
         return _result_rows(result, member.rows)

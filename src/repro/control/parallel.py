@@ -363,4 +363,9 @@ def _map_tasks(spec, runner, tasks, n_jobs: int) -> list:
         finally:
             _WORKER.clear()
     with _pool_context().Pool(jobs, initializer=_init_worker, initargs=(spec,)) as pool:
-        return pool.map(runner, tasks)
+        results = pool.map(runner, tasks)
+        # Let the workers exit and reap them before __exit__ terminates
+        # the pool, so none outlives the sweep.
+        pool.close()
+        pool.join()
+    return results

@@ -50,14 +50,18 @@ is the control-plane speedup asserted in the Table 7 closed-loop benchmark.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, is_dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ..core.strategies import (
+    NoRecoveryStrategy,
+    PeriodicStrategy,
     RecoveryStrategy,
     ReplicationStrategy,
+    ThresholdStrategy,
     strategy_is_class_aware,
 )
 from ..core.system_controller import SystemController
@@ -271,11 +275,45 @@ class _DecisionTrace:
     add_classes: list = field(default_factory=list)
 
 
-def _is_value(strategy: object) -> bool:
-    """Whether ``strategy`` compares by value: ``None`` or a frozen dataclass."""
-    return strategy is None or (
-        is_dataclass(strategy) and type(strategy).__dataclass_params__.frozen
-    )
+#: ``due`` of a slot that never recovers on schedule.
+_NEVER = np.iinfo(np.int64).max
+
+
+def _recovery_rule(strategy: object) -> tuple[float, int] | None:
+    """``(alpha, due)`` of a strategy that recovers iff ``b >= alpha or t >= due``.
+
+    The threshold (Thm. 1), periodic and no-recovery strategies are such
+    rules; ``None`` for any other strategy.
+    """
+    kind = type(strategy)
+    if kind is ThresholdStrategy:
+        return strategy.alpha, _NEVER
+    if kind is NoRecoveryStrategy:
+        return math.inf, _NEVER
+    if kind is PeriodicStrategy:
+        period = strategy.period
+        return math.inf, _NEVER if period == math.inf else int(period) - 1
+    return None
+
+
+def _recovery_rows(policy: VectorPolicy, alpha: np.ndarray, due: np.ndarray) -> bool:
+    """Write ``policy``'s per-slot rules into its rows of ``alpha``/``due``.
+
+    Returns ``False``, writing nothing, when the policy is not such rules
+    for every slot (a custom :class:`~repro.envs.policies.VectorPolicy`, a
+    time-indexed or learned strategy).
+    """
+    if type(policy) is not StrategyPolicy:
+        return False
+    strategies = policy.strategies
+    slots = alpha.shape[1]
+    if not isinstance(strategies, tuple):
+        strategies = (strategies,) * slots
+    rules = [_recovery_rule(strategy) for strategy in strategies[:slots]]
+    if len(rules) < slots or None in rules:
+        return False
+    alpha[:], due[:] = zip(*rules)
+    return True
 
 
 class TwoLevelLoop:
@@ -287,10 +325,8 @@ class TwoLevelLoop:
     traces — but **not** the engine state.  Its one driver is a
     :class:`~repro.control.cohort.Cohort` (behind
     :meth:`TwoLevelController.run`, the closed-loop sweeps, their shards
-    and the decision service), which runs one loop per *control group*
-    (the members whose :meth:`TwoLevelController.control_key` is equal)
-    over the group's concatenated episode axis and advances the engine
-    state shared by the whole cohort between :meth:`pre_step` and
+    and the decision service), which builds ONE loop over all its members
+    and advances the engine state between :meth:`pre_step` and
     :meth:`post_step`.  The independent oracle of this arithmetic is
     :meth:`TwoLevelController.run_scalar_reference`
     (``tests/test_cohort_runner.py``, ``tests/test_control_plane.py``).
@@ -304,27 +340,71 @@ class TwoLevelLoop:
     where ``observation'`` is the post-step observation and ``info``
     carries the step's ``crashed``/``failed_mask`` arrays.
 
-    The loop's batch size is ``system.num_episodes``, which may exceed
-    ``controller.num_envs``: every per-tick operation is row-wise, so one
-    loop can step several same-configuration fleets stacked along the
-    episode axis.
+    Args:
+        members: ``(rows, controller)`` pairs whose ``rows`` slices tile
+            the loop's episodes; the controllers share one scenario
+            (``f``, ``smax``, the horizon and the class slots).
+        system_streams: The system-controller streams of the episodes whose
+            replication strategy draws randomness, in episode order (see
+            :meth:`TwoLevelController._system_streams`).
+
+    Each member's configuration is row data: ``k``, ``initial_nodes`` and
+    the two limit flags become ``(B,)`` arrays, threshold, periodic and
+    no-recovery strategies ``(B, S)`` tables — a slot recovers iff
+    ``belief >= alpha or time_since_recovery >= due`` — and replication
+    strategies rows of the system controller's table.  A policy that is
+    not such data acts on its own member's rows, one call per tick.
     """
 
     def __init__(
-        self, controller: "TwoLevelController", system: VectorSystemController
+        self,
+        members: Sequence[tuple[slice, "TwoLevelController"]],
+        system_streams: Streams | None = None,
     ) -> None:
-        self.controller = controller
-        self.system = system
-        batch, slots = system.num_episodes, controller.smax
+        scenario = members[0][1].scenario
+        batch, slots = members[-1][0].stop, scenario.num_nodes
+        self.horizon = scenario.horizon
+        self.f = scenario.f
         self.t = 0
-        self.active = np.zeros((batch, slots), dtype=bool)
-        self.active[:, : controller.initial_nodes] = True
+        initial_nodes = np.empty(batch, dtype=np.int64)
+        k = np.empty(batch, dtype=np.int64)
+        limit = np.empty(batch, dtype=np.int64)
+        enforce_invariant = np.empty(batch, dtype=bool)
+        self._alpha = np.full((batch, slots), math.inf)
+        self._due = np.full((batch, slots), _NEVER, dtype=np.int64)
+        #: ``(rows, policy)`` of the recovery policies that are not rules.
+        self._policies: list[tuple[slice, VectorPolicy]] = []
+        #: ``(rows, slots per strategy class)`` of class-aware replication.
+        self._class_parts: list[tuple[slice, list[np.ndarray]]] = []
+        for rows, controller in members:
+            initial_nodes[rows] = controller.initial_nodes
+            k[rows] = controller.k
+            # Without the Prop. 1c limit every request is granted.
+            limit[rows] = controller.k if controller.respect_recovery_limit else slots
+            enforce_invariant[rows] = controller.enforce_invariant
+            policy = controller.recovery_policy
+            if not _recovery_rows(policy, self._alpha[rows], self._due[rows]):
+                self._policies.append((rows, policy))
+            if controller._strategy_class_slots is not None:
+                self._class_parts.append((rows, controller._strategy_class_slots))
+        self.system = VectorSystemController(
+            f=self.f,
+            k=k,
+            strategy=[(rows, c.replication_strategy) for rows, c in members],
+            smax=slots,
+            enforce_invariant=enforce_invariant,
+            num_episodes=batch,
+            horizon=self.horizon,
+            streams=system_streams,
+        )
+        self._limit = limit
+        self.active = np.arange(slots) < initial_nodes[:, None]
         self.available_steps = np.zeros(batch, dtype=np.int64)
         self.node_count_sum = np.zeros(batch, dtype=np.int64)
         self.cost_sum = np.zeros(batch)
         self.recovery_steps = np.zeros(batch, dtype=np.int64)
         self.active_slot_steps = np.zeros(batch, dtype=np.int64)
-        self.class_slots = controller.class_slots
+        self.class_slots = members[0][1].class_slots
         if self.class_slots is not None:
             self._class_cost = {label: np.zeros(batch) for label in self.class_slots}
             self._class_recoveries = {
@@ -333,8 +413,11 @@ class TwoLevelLoop:
             self._class_steps = {
                 label: np.zeros(batch, dtype=np.int64) for label in self.class_slots
             }
-        self.trace = _DecisionTrace() if controller.record_decisions else None
-        self._record = controller.record_system_trace
+        controllers = [controller for _, controller in members]
+        self.trace = (
+            _DecisionTrace() if any(c.record_decisions for c in controllers) else None
+        )
+        self._record = any(c.record_system_trace for c in controllers)
         self._states_t: list[np.ndarray] = []
         self._actions_t: list[np.ndarray] = []
         self._probs_t: list[np.ndarray] = []
@@ -348,7 +431,7 @@ class TwoLevelLoop:
 
     @property
     def done(self) -> bool:
-        return self.t >= self.controller.horizon
+        return self.t >= self.horizon
 
     def pre_step(self, observation: VectorObservation) -> np.ndarray:
         """Node level: decide this tick's recoveries from ``observation``.
@@ -359,32 +442,85 @@ class TwoLevelLoop:
         """
         if self.done:
             raise RuntimeError("the loop is done (horizon reached)")
-        controller = self.controller
         active = self.active
+        beliefs = observation.beliefs
+        time_since_recovery = observation.time_since_recovery
         forced = observation.forced
-        policy_observation = VectorObservation(
-            beliefs=observation.beliefs,
-            time_since_recovery=observation.time_since_recovery,
-            forced=forced,
-            active=active,
-        )
-        voluntary = (
-            np.asarray(controller.recovery_policy.act(policy_observation))
-            .astype(bool)
-            & active
-            & ~forced
-        )
-        granted = (
-            controller._grant_recoveries(voluntary, observation.beliefs)
-            if controller.respect_recovery_limit
-            else voluntary
-        )
+        voluntary = (beliefs >= self._alpha) | (time_since_recovery >= self._due)
+        for rows, policy in self._policies:
+            voluntary[rows] = np.asarray(
+                policy.act(
+                    VectorObservation(
+                        beliefs=beliefs[rows],
+                        time_since_recovery=time_since_recovery[rows],
+                        forced=forced[rows],
+                        active=active[rows],
+                    )
+                )
+            )
+        voluntary &= active & ~forced
+        granted = self._grant_recoveries(voluntary, beliefs)
         self.active_slot_steps += active.sum(axis=1)
         executed = (granted | forced) & active
         self.recovery_steps += executed.sum(axis=1)
         self._executed = executed
         # Standby slots recover every step, staying fresh for activation.
         return granted | ~active
+
+    def _grant_recoveries(self, requests: np.ndarray, beliefs: np.ndarray) -> np.ndarray:
+        """Grant each episode at most its limit of requests (Prop. 1c).
+
+        Only episodes with more requests than their limit are ranked: most
+        suspicious first, ties broken by slot index — the same stable
+        ordering the scalar reference's ``sorted`` applies.  The others,
+        and every episode without the limit, are granted every request.
+        """
+        over = np.flatnonzero(requests.sum(axis=1) > self._limit)
+        if over.size == 0:
+            return requests
+        keys = np.where(requests[over], -beliefs[over], np.inf)
+        order = np.argsort(keys, axis=1, kind="stable")
+        granted = requests.copy()
+        granted[over[:, None], order] &= np.arange(order.shape[1]) < self._limit[over, None]
+        return granted
+
+    def _activate_slots(
+        self,
+        active: np.ndarray,
+        add_mask: np.ndarray,
+        add_class: np.ndarray | None,
+    ) -> np.ndarray:
+        """Activate one standby slot per adding episode, in place.
+
+        Classless adds (and class-aware emergency adds, ``add_class == -1``)
+        claim the first free slot; a class-aware ``add(c)`` claims the first
+        free slot of class ``c``'s sub-fleet, falling back to the first free
+        slot of any class when the sub-fleet is exhausted.  The scalar
+        reference applies the identical rule one episode at a time.
+
+        Returns the activated slot index per episode (``-1`` where the
+        episode added nothing), for ``on_step`` observers.
+        """
+        activated = np.full(active.shape[0], -1, dtype=np.int64)
+        if not add_mask.any():
+            return activated
+        rows = np.flatnonzero(add_mask)
+        targets = (~active).argmax(axis=1)[rows]
+        if self._class_parts:
+            classes = add_class[rows]
+        for part, class_slots in self._class_parts:
+            mine = (rows >= part.start) & (rows < part.stop)
+            for c, slots in enumerate(class_slots):
+                members = np.flatnonzero(mine & (classes == c))
+                if members.size == 0:
+                    continue
+                free = ~active[np.ix_(rows[members], slots)]
+                has_free = free.any(axis=1)
+                chosen = slots[free.argmax(axis=1)]
+                targets[members[has_free]] = chosen[has_free]
+        active[rows, targets] = True
+        activated[rows] = targets
+        return activated
 
     def post_step(
         self, observation: VectorObservation, costs: np.ndarray, info: dict
@@ -397,7 +533,6 @@ class TwoLevelLoop:
         decision record ``run(on_step=...)`` observers and the service's
         clients receive.
         """
-        controller = self.controller
         active = self.active
         executed = self._executed
         if executed is None:
@@ -419,16 +554,14 @@ class TwoLevelLoop:
             node_counts=active.sum(axis=1),
         )
         active = active & ~crashed
-        activated = controller._activate_slots(
-            active, decision.add_node, decision.add_class
-        )
+        activated = self._activate_slots(active, decision.add_node, decision.add_class)
         self.active = active
 
         node_counts = active.sum(axis=1)
         self.node_count_sum += node_counts
         step_available = (
-            (info["failed_mask"] & active).sum(axis=1) <= controller.f
-        ) & (node_counts >= 2 * controller.f + 1)
+            (info["failed_mask"] & active).sum(axis=1) <= self.f
+        ) & (node_counts >= 2 * self.f + 1)
         self.available_steps += step_available
 
         event = TwoLevelStepEvent(
@@ -487,8 +620,7 @@ class TwoLevelLoop:
 
     def result(self, profile: "EngineProfile | None" = None) -> TwoLevelResult:
         """Aggregate the accumulators into a :class:`TwoLevelResult`."""
-        controller = self.controller
-        steps = max(controller.horizon, 1)
+        steps = max(self.horizon, 1)
         slot_steps = np.maximum(self.active_slot_steps, 1)
         class_average_cost = class_recovery_frequency = None
         if self.class_slots is not None:
@@ -640,44 +772,6 @@ class TwoLevelController:
     def horizon(self) -> int:
         return self.scenario.horizon
 
-    def control_key(self) -> tuple | None:
-        """Hashable value of everything :class:`TwoLevelLoop` reads off this controller.
-
-        Two controllers on one scenario with equal keys run the identical
-        row-wise per-tick arithmetic, so a cohort
-        (:mod:`repro.control.cohort`) steps their episodes as one loop.  The key holds the recovery strategies, the
-        replication strategy (both compared by value, so they must be
-        frozen dataclasses), ``f``, ``k``, ``smax``, ``initial_nodes`` and
-        the two limit flags.  ``None`` — the controller shares its loop
-        with no other — when a policy is not a value (a custom
-        :class:`~repro.envs.policies.VectorPolicy`, an unhashable or
-        mutable strategy) or when a trace is recorded.
-        """
-        if self.record_system_trace or self.record_decisions:
-            return None
-        policy = self.recovery_policy
-        if type(policy) is not StrategyPolicy:
-            return None
-        strategies = policy.strategies
-        members = strategies if isinstance(strategies, tuple) else (strategies,)
-        if not all(map(_is_value, (*members, self.replication_strategy))):
-            return None
-        key = (
-            strategies,
-            self.replication_strategy,
-            self.f,
-            self.k,
-            self.smax,
-            self.initial_nodes,
-            self.enforce_invariant,
-            self.respect_recovery_limit,
-        )
-        try:
-            hash(key)
-        except TypeError:
-            return None
-        return key
-
     # -- seed tree ----------------------------------------------------------------
     def _system_streams(
         self, seed: int | None, first: int = 0, batch: int | None = None
@@ -733,93 +827,14 @@ class TwoLevelController:
         cohort = Cohort(self.engine, profile)
         member = cohort.add(CohortMember(self, seed))
         while not cohort.done:
-            for _, event in cohort.advance():
-                if on_step is not None:
-                    on_step(event)
-        loop = member.group.loop
+            event = cohort.advance()
+            if on_step is not None:
+                on_step(event)
+        loop = cohort.loop
         self.last_decision_trace = loop.trace
         if self.record_system_trace:
             self.system_trace = loop.build_system_trace()
         return cohort.result(member)
-
-    def begin_loop(
-        self, system_streams: Streams | None = None, num_episodes: int | None = None
-    ) -> TwoLevelLoop:
-        """Create the incremental per-tick executor of this controller's loop.
-
-        A cohort (:mod:`repro.control.cohort`) drives the returned
-        :class:`TwoLevelLoop` one tick at a time around a fused engine step.
-        ``system_streams`` are the per-episode system-controller streams
-        (see :meth:`_system_streams`; ``None`` for a replication strategy
-        that draws no randomness).  ``num_episodes`` (default
-        :attr:`num_envs`) sizes the loop for a control group: a cohort
-        stacks the episodes of every member with an equal
-        :meth:`control_key` into one loop and passes the concatenation of
-        their stream segments.
-        """
-        system = VectorSystemController(
-            f=self.f,
-            k=self.k,
-            strategy=self.replication_strategy,
-            smax=self.smax,
-            enforce_invariant=self.enforce_invariant,
-            num_episodes=self.num_envs if num_episodes is None else num_episodes,
-            horizon=self.horizon,
-            streams=system_streams,
-        )
-        return TwoLevelLoop(self, system)
-
-    def _activate_slots(
-        self,
-        active: np.ndarray,
-        add_mask: np.ndarray,
-        add_class: np.ndarray | None,
-    ) -> np.ndarray:
-        """Activate one standby slot per adding episode, in place.
-
-        Classless adds (and class-aware emergency adds, ``add_class == -1``)
-        claim the first free slot; a class-aware ``add(c)`` claims the first
-        free slot of class ``c``'s sub-fleet, falling back to the first free
-        slot of any class when the sub-fleet is exhausted.  The scalar
-        reference applies the identical rule one episode at a time.
-
-        Returns the activated slot index per episode (``-1`` where the
-        episode added nothing), for ``on_step`` observers.
-        """
-        activated = np.full(active.shape[0], -1, dtype=np.int64)
-        if not add_mask.any():
-            return activated
-        rows = np.flatnonzero(add_mask)
-        targets = (~active).argmax(axis=1)[rows]
-        if self._strategy_class_slots is not None and add_class is not None:
-            classes = add_class[rows]
-            for c, slots in enumerate(self._strategy_class_slots):
-                members = np.flatnonzero(classes == c)
-                if members.size == 0:
-                    continue
-                free = ~active[np.ix_(rows[members], slots)]
-                has_free = free.any(axis=1)
-                chosen = slots[free.argmax(axis=1)]
-                targets[members[has_free]] = chosen[has_free]
-        active[rows, targets] = True
-        activated[rows] = targets
-        return activated
-
-    def _grant_recoveries(
-        self, requests: np.ndarray, beliefs: np.ndarray
-    ) -> np.ndarray:
-        """Grant at most ``k`` voluntary recoveries per episode (Prop. 1c).
-
-        Most suspicious requests first, ties broken by slot index — the
-        same stable ordering the scalar reference's ``sorted`` applies.
-        """
-        keys = np.where(requests, -beliefs, np.inf)
-        order = np.argsort(keys, axis=1, kind="stable")
-        granted = np.zeros_like(requests)
-        rows = np.arange(requests.shape[0])[:, None]
-        head = order[:, : self.k]
-        granted[rows, head] = requests[rows, head]
-        return granted
 
     # -- scalar reference ----------------------------------------------------------
     def run_scalar_reference(self, seed: int | None = None) -> TwoLevelResult:

@@ -15,13 +15,18 @@ seeds.  Two properties make that exact rather than statistical:
    node slots in slot order with the same float additions the scalar
    controller's Python ``sum`` performs (non-reporting slots contribute an
    exact ``+0.0``), so ``floor`` never diverges at integer boundaries.
-2. *Per-episode controller streams.*  Episode ``b`` consumes the uniforms
-   of ``numpy.random.default_rng(children[b])`` — the same generator a
-   scalar controller seeded with ``children[b]`` draws from — pre-generated
-   into a ``(B, horizon)`` buffer by :func:`~repro.sim.seeding.uniform_streams`
-   and consumed one column per step, exactly
-   when a stochastic strategy (``MixedReplicationStrategy``,
+2. *Per-episode controller streams.*  The ``i``-th episode whose strategy
+   draws randomness (the per-row :attr:`VectorSystemController.consumes_rng`
+   mask) consumes the uniforms of ``numpy.random.default_rng(children[i])``
+   — the same generator a scalar controller seeded with ``children[i]``
+   draws from — pre-generated into row ``i`` of a buffer by
+   :func:`~repro.sim.seeding.uniform_streams` and consumed one column per
+   step, exactly when a stochastic strategy (``MixedReplicationStrategy``,
    ``TabularReplicationStrategy``) would call ``rng.random()``.
+
+The strategy is per-row data too: each episode reads its own row of a
+``(B, smax + 1)`` table ``pi(a=1 | s)``, so fleets with different
+strategies, ``k`` and invariant flags step in one call.
 
 Class-aware strategies (``{wait, add(c_1), ..., add(c_C)}`` on
 heterogeneous fleets) keep both properties: the decision samples one
@@ -145,43 +150,49 @@ class VectorSystemController:
 
     Args:
         f: Tolerance threshold of the consensus protocol.
-        k: Maximum number of parallel recoveries (Prop. 1).
-        strategy: Replication strategy ``pi``; defaults to never adding.
-            Strategies are applied through a precomputed probability table
-            ``pi(a=1 | s)`` over ``s in {0, ..., smax}`` unless they expose
-            ``add_probability_batch(states, node_counts)`` (the learned PPO
-            replication policy does, because its probability conditions on
-            the current node count as well).
+        k: Maximum number of parallel recoveries (Prop. 1): one for every
+            episode, or a ``(B,)`` array with one per episode.
+        strategy: Replication strategy ``pi``; defaults to never adding.  A
+            list of ``(rows, strategy)`` pairs, whose ``rows`` slices tile
+            ``[0, B)``, gives each block of episodes its own strategy (the
+            members of a cohort).  Strategies are applied through a
+            ``(B, smax + 1)`` probability table ``pi(a=1 | s)`` unless they
+            expose ``add_probability_batch(states, node_counts)`` (the
+            learned PPO replication policy does, because its probability
+            conditions on the current node count as well) or are
+            class-aware; those act on their own rows, one call each.
         smax: Maximum number of nodes (and largest CMDP state).
         enforce_invariant: Whether to force additions when ``N_t`` would
-            drop below ``2f + 1 + k``.
+            drop below ``2f + 1 + k``: one flag, or a ``(B,)`` array.
         num_episodes: Batch size ``B``.
         horizon: Maximum number of :meth:`step` calls (bounds the
             pre-generated uniform buffer of stochastic strategies).
-        seed: Seed of the per-episode controller streams; episode ``b``
-            draws from child ``b`` of ``SeedSequence(seed)``.
+        seed: Seed of the per-episode controller streams; the ``i``-th
+            episode whose strategy draws randomness (:attr:`consumes_rng`)
+            draws from child ``i`` of ``SeedSequence(seed)``.
         streams: Explicit ``(root, spawn_keys)`` segments overriding
-            ``seed``, one key per episode in episode order (see
-            :func:`~repro.sim.seeding.uniform_streams`) — how the
-            two-level controller shares one seed tree between the engine
-            and the system level.
+            ``seed``, one key per episode of :attr:`consumes_rng` in
+            episode order (see :func:`~repro.sim.seeding.uniform_streams`)
+            — how the two-level controller shares one seed tree between the
+            engine and the system level.
     """
 
     def __init__(
         self,
         f: int,
-        k: int = 1,
-        strategy: ReplicationStrategy | None = None,
+        k: int | np.ndarray = 1,
+        strategy: ReplicationStrategy | None | list = None,
         smax: int = 13,
-        enforce_invariant: bool = True,
+        enforce_invariant: bool | np.ndarray = True,
         num_episodes: int = 1,
         horizon: int = 1000,
         seed: int | None = None,
         streams: Streams | None = None,
     ) -> None:
+        k = np.asarray(k, dtype=np.int64)
         if f < 0:
             raise ValueError("f must be non-negative")
-        if k < 1:
+        if np.any(k < 1):
             raise ValueError("k must be >= 1")
         if smax < 1:
             raise ValueError("smax must be >= 1")
@@ -189,75 +200,58 @@ class VectorSystemController:
             raise ValueError("num_episodes must be >= 1")
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
-        self.f = f
-        self.k = k
         self.smax = smax
-        self.strategy: ReplicationStrategy = (
-            strategy if strategy is not None else NeverAddStrategy()
-        )
-        self.enforce_invariant = enforce_invariant
+        self.enforce_invariant = np.asarray(enforce_invariant, dtype=bool)
+        #: Smallest admissible replication factor ``2f + 1 + k`` (Prop. 1d).
+        self.minimum_nodes = 2 * f + 1 + k
         self.num_episodes = num_episodes
         self.horizon = horizon
-        self._stochastic = strategy_consumes_rng(self.strategy)
-        self._class_aware = strategy_is_class_aware(self.strategy)
-        self._batch_probability = None
-        self._class_batch_probability = None
-        self._table = None
-        self._class_cumulative = None
-        if self._class_aware:
-            # Class-aware strategies are applied through the cumulative
-            # per-action table (or the count-conditioned batched variant);
-            # the scalar controller samples with np.cumsum over the same
-            # rows, so the inverse-CDF comparison is bit-identical.
-            if not self._stochastic:
-                raise ValueError(
-                    "class-aware replication strategies must consume rng "
-                    "(consumes_rng=True): the batched controller samples "
-                    "them through the shared per-episode uniform buffer, "
-                    "matching the scalar controller's rng.random() draws"
-                )
-            self.class_names: tuple[str, ...] | None = tuple(self.strategy.class_names)
-            self._class_batch_probability = getattr(
-                self.strategy, "action_probabilities_batch", None
-            )
-            if self._class_batch_probability is None:
-                table = np.stack(
-                    [
-                        np.asarray(self.strategy.action_probabilities(s), dtype=float)
-                        for s in range(smax + 1)
-                    ]
-                )
-                self._class_cumulative = np.cumsum(table, axis=1)
-                self._class_table = table
-        else:
-            self.class_names = None
-            self._batch_probability = getattr(
-                self.strategy, "add_probability_batch", None
-            )
-            if self._batch_probability is None:
-                self._table = np.array(
-                    [self.strategy.add_probability(s) for s in range(smax + 1)]
-                )
+        if not isinstance(strategy, list):
+            strategy = [(slice(0, num_episodes), strategy)]
+        self._rows = np.arange(num_episodes)
+        self._table = np.zeros((num_episodes, smax + 1))
+        #: Episodes whose strategy draws one uniform per step.
+        self.consumes_rng = np.zeros(num_episodes, dtype=bool)
+        self._batch_parts = []
+        self._class_parts = []
+        for rows, member in strategy:
+            member = member if member is not None else NeverAddStrategy()
+            stochastic = strategy_consumes_rng(member)
+            self.consumes_rng[rows] = stochastic
+            if strategy_is_class_aware(member):
+                if not stochastic:
+                    raise ValueError(
+                        "class-aware replication strategies must consume rng "
+                        "(consumes_rng=True): the batched controller samples "
+                        "them through the shared per-episode uniform buffer, "
+                        "matching the scalar controller's rng.random() draws"
+                    )
+                self._class_parts.append((rows, _ClassPolicy(member, smax)))
+                continue
+            batch = getattr(member, "add_probability_batch", None)
+            if batch is not None:
+                self._batch_parts.append((rows, batch))
+            else:
+                self._table[rows] = [member.add_probability(s) for s in range(smax + 1)]
+        self._class_width = 1 + max(
+            (policy.num_classes for _, policy in self._class_parts), default=0
+        )
         self._uniforms: np.ndarray | None = None
-        if self._stochastic:
+        draws = int(self.consumes_rng.sum())
+        if draws:
             if streams is None:
-                streams = [(resolve_entropy(seed), range(num_episodes))]
-            self._uniforms = uniform_streams(streams, horizon)
-            if self._uniforms.shape[0] != num_episodes:
+                streams = [(resolve_entropy(seed), range(draws))]
+            uniforms = uniform_streams(streams, horizon)
+            if uniforms.shape[0] != draws:
                 raise ValueError(
-                    f"need one stream per episode ({num_episodes}), "
-                    f"got {self._uniforms.shape[0]}"
+                    f"need one stream per episode that draws randomness "
+                    f"({draws}), got {uniforms.shape[0]}"
                 )
+            self._uniforms = uniforms
         self._step_index = 0
         self.total_additions = np.zeros(num_episodes, dtype=np.int64)
         self.total_evictions = np.zeros(num_episodes, dtype=np.int64)
         self.emergency_additions = np.zeros(num_episodes, dtype=np.int64)
-
-    # -- helpers -----------------------------------------------------------------
-    @property
-    def minimum_nodes(self) -> int:
-        """Smallest admissible replication factor ``2f + 1 + k`` (Prop. 1d)."""
-        return 2 * self.f + 1 + self.k
 
     # -- control loop ------------------------------------------------------------
     def step(
@@ -302,60 +296,47 @@ class VectorSystemController:
         node_counts = np.asarray(node_counts, dtype=np.int64)
         count_after_eviction = node_counts - evicted.sum(axis=1)
 
-        add_class = None
-        action_probabilities = None
-        if self._class_aware:
-            if self._class_batch_probability is not None:
-                action_probabilities = np.asarray(
-                    self._class_batch_probability(state, count_after_eviction),
-                    dtype=float,
-                )
-                cumulative = np.cumsum(action_probabilities, axis=1)
-            else:
-                action_probabilities = self._class_table[state]
-                cumulative = self._class_cumulative[state]
+        probs = self._table[self._rows, state]
+        for rows, batch in self._batch_parts:
+            probs[rows] = batch(state[rows], count_after_eviction[rows])
+        if self._uniforms is None:
+            add = probs > 0.5
+        else:
             if self._step_index >= self.horizon:
                 raise RuntimeError(
                     "controller horizon exhausted: construct the controller "
                     "with a larger horizon"
                 )
-            # One uniform per episode per step, consumed by the same
-            # inverse-CDF rule the scalar strategy's `action` applies
-            # (strategies.sample_action_index) — identical comparisons over
-            # identical cumulative rows.
-            uniforms = self._uniforms[:, self._step_index]
-            num_actions = cumulative.shape[1]
-            action = np.minimum(
-                (cumulative <= uniforms[:, None]).sum(axis=1), num_actions - 1
-            )
-            add = action > 0
-            add_class = np.where(add, action - 1, -1).astype(np.int64)
-            probs = 1.0 - action_probabilities[:, 0]
-        else:
-            if self._batch_probability is not None:
-                probs = np.asarray(
-                    self._batch_probability(state, count_after_eviction), dtype=float
-                )
-            else:
-                probs = self._table[state]
-            if self._stochastic:
-                if self._step_index >= self.horizon:
-                    raise RuntimeError(
-                        "controller horizon exhausted: construct the controller "
-                        "with a larger horizon"
-                    )
-                # One uniform per episode per step, drawn exactly when the
-                # scalar strategy would call rng.random().
-                add = self._uniforms[:, self._step_index] < probs
-            else:
-                add = probs > 0.5
+            # One uniform per episode per step, drawn exactly when the
+            # scalar strategy would call rng.random().
+            uniforms = np.zeros(self.num_episodes)
+            uniforms[self.consumes_rng] = self._uniforms[:, self._step_index]
+            add = np.where(self.consumes_rng, uniforms < probs, probs > 0.5)
         self._step_index += 1
 
-        emergency = np.zeros_like(add)
-        if self.enforce_invariant:
-            emergency = ~add & (count_after_eviction < self.minimum_nodes)
-            add = add | emergency
-            self.emergency_additions += emergency
+        add_class = None
+        action_probabilities = None
+        if self._class_parts:
+            add_class = np.full(self.num_episodes, -1, dtype=np.int64)
+            action_probabilities = np.zeros((self.num_episodes, self._class_width))
+            for rows, policy in self._class_parts:
+                # The same inverse-CDF rule the scalar strategy's `action`
+                # applies (strategies.sample_action_index) — identical
+                # comparisons over identical cumulative rows.
+                table, cumulative = policy(state[rows], count_after_eviction[rows])
+                action = np.minimum(
+                    (cumulative <= uniforms[rows, None]).sum(axis=1),
+                    cumulative.shape[1] - 1,
+                )
+                add[rows] = action > 0
+                add_class[rows] = action - 1
+                probs[rows] = 1.0 - table[:, 0]
+                action_probabilities[rows, : table.shape[1]] = table
+
+        emergency = ~add & (count_after_eviction < self.minimum_nodes)
+        emergency &= self.enforce_invariant
+        add = add | emergency
+        self.emergency_additions += emergency
 
         # The physical cluster is exhausted; the request is dropped.
         capped = add & (count_after_eviction >= self.smax)
@@ -378,3 +359,33 @@ class VectorSystemController:
             add_class=add_class,
             action_probabilities=action_probabilities,
         )
+
+
+class _ClassPolicy:
+    """A class-aware strategy's ``pi(. | s)`` rows and their cumulative sums.
+
+    Served from a per-state table, or from the strategy's
+    ``action_probabilities_batch(states, node_counts)`` when it has one
+    (the count-conditioned learned policy); the scalar controller samples
+    with ``np.cumsum`` over the same rows, so the draw is bit-identical.
+    """
+
+    def __init__(self, strategy, smax: int) -> None:
+        self.num_classes = len(strategy.class_names)
+        self._batch = getattr(strategy, "action_probabilities_batch", None)
+        if self._batch is None:
+            self._table = np.stack(
+                [
+                    np.asarray(strategy.action_probabilities(s), dtype=float)
+                    for s in range(smax + 1)
+                ]
+            )
+            self._cumulative = np.cumsum(self._table, axis=1)
+
+    def __call__(
+        self, states: np.ndarray, node_counts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        if self._batch is None:
+            return self._table[states], self._cumulative[states]
+        table = np.asarray(self._batch(states, node_counts), dtype=float)
+        return table, np.cumsum(table, axis=1)

@@ -11,8 +11,9 @@ instead of a one-shot ``run()``:
   (a built controller or a ``repro/scenario-v1`` document), stream ticks
   and read back per-tick recovery/replication decisions, with the belief
   updates of compatible fleets **fused into single batched kernel calls**,
-  the control plane of same-configuration fleets stepped once per tick
-  per control group, and LP replication solves served from the thread-safe
+  the control plane of all of them stepped by one loop per tick (each
+  fleet's configuration is row data of that loop), and LP replication
+  solves served from the thread-safe
   :data:`~repro.control.policy_cache.DEFAULT_POLICY_CACHE`;
 * :mod:`~repro.serve.protocol` — the versioned ``repro/decision-v1``
   newline-delimited-JSON schema (requests, decision events, named

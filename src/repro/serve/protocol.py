@@ -30,8 +30,8 @@ Operations
     Detach a session (its episode rows keep stepping inside a fused
     cohort; no further events are buffered).
 ``stats``
-    Service counters: sessions, cohorts, fused engine calls, control-group
-    steps, decisions and the policy-cache counters.
+    Service counters: sessions, cohorts, fused engine calls, ticks served,
+    decisions and the policy-cache counters.
 ``shutdown``
     Stop the server after answering.
 

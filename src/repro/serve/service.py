@@ -254,8 +254,6 @@ class DecisionService:
         self._open_cohorts: dict[str, Cohort] = {}
         self._cohorts: list[Cohort] = []
         self.engine_calls = 0
-        #: Control-plane loop ticks: one per control group per cohort advance.
-        self.control_steps = 0
         self.node_decisions = 0
         self.ticks_served = 0
 
@@ -360,12 +358,11 @@ class DecisionService:
                             f"session {session_id!r} reached its horizon "
                             f"({session.controller.horizon} ticks)",
                         )
-                    for group, event in cohort.advance():
-                        for member in group.members:
-                            if not member.closed:
-                                member.events.append(event_rows(event, member.rows))
+                    event = cohort.advance()
+                    for member in cohort.members:
+                        if not member.closed:
+                            member.events.append(event_rows(event, member))
                     self.engine_calls += 1
-                    self.control_steps += len(cohort.groups)
                     self.node_decisions += (
                         cohort.num_episodes * cohort.engine.scenario.num_nodes
                     )
@@ -406,7 +403,7 @@ class DecisionService:
             session.closed = True
             session.events.clear()
             del self._sessions[session_id]
-            cohort, session.cohort, session.group = session.cohort, None, None
+            cohort, session.cohort = session.cohort, None
             if all(member.closed for member in cohort.members):
                 self._cohorts.remove(cohort)
                 if self._open_cohorts.get(cohort.key) is cohort:
@@ -421,7 +418,6 @@ class DecisionService:
                 "cohorts": len(self._cohorts),
                 "coalesce": self.coalesce,
                 "engine_calls": self.engine_calls,
-                "control_steps": self.control_steps,
                 "ticks_served": self.ticks_served,
                 "node_decisions": self.node_decisions,
                 "policy_cache": self.policy_cache.stats(),

@@ -520,6 +520,7 @@ class BatchRecoveryEngine:
         uniforms: np.ndarray | None = None,
         profile: bool = False,
         adversary_uniforms: np.ndarray | None = None,
+        rows: np.ndarray | None = None,
     ) -> BatchEpisodeState:
         """Initialize the per-stream state for ``num_episodes`` episodes.
 
@@ -551,6 +552,16 @@ class BatchRecoveryEngine:
                 just like ``uniforms``).  Required when ``uniforms`` is
                 pre-drawn and the scenario's adversary is dynamic; the
                 seed path draws it from the same seed automatically.
+            rows: Buffer row whose streams each episode of the state
+                consumes, shape ``(B,)`` (default: episode ``b`` reads row
+                ``b``).  A cohort (:mod:`repro.control.cohort`) passes it
+                so that members sharing a seed tree share one buffer
+                instead of copies of it; the adversary buffer is read
+                through the same map.
+
+        Raises:
+            ValueError: Inconsistent arguments, a mis-shaped buffer, or a
+                ``rows`` map that is not 1-D integers indexing the buffer.
         """
         if uniforms is not None:
             if num_episodes is not None or seed is not None:
@@ -569,29 +580,21 @@ class BatchRecoveryEngine:
             uniforms = self.draw_uniforms(seed, num_episodes)
             if self._dynamic and adversary_uniforms is None:
                 adversary_uniforms = self.draw_adversary_uniforms(seed, num_episodes)
-        sim = self._begin(uniforms, track_metrics, adversary_uniforms)
-        if profile:
-            sim.profile = EngineProfile()
-        return sim
-
-    def _begin(
-        self,
-        uniforms: np.ndarray,
-        track_metrics: bool = True,
-        adversary_uniforms: np.ndarray | None = None,
-        rows: np.ndarray | None = None,
-    ) -> BatchEpisodeState:
-        """The initial state over ``uniforms``.
-
-        ``rows`` maps each episode of the state to the buffer row whose
-        streams it consumes (default: episode ``b`` reads row ``b``).  A
-        cohort (:mod:`repro.control.cohort`) passes it so that members
-        sharing a seed tree share one buffer instead of copies of it; the
-        adversary buffer is read through the same map.
-        """
         buffer_rows, num_nodes, width = uniforms.shape
         if rows is None:
             rows = np.arange(buffer_rows, dtype=np.int64)
+        else:
+            rows = np.asarray(rows)
+            if (
+                rows.ndim != 1
+                or rows.dtype.kind not in "iu"
+                or not np.all((rows >= 0) & (rows < buffer_rows))
+            ):
+                raise ValueError(
+                    "rows must map every episode to a buffer row: a 1-D "
+                    f"integer array with values in [0, {buffer_rows})"
+                )
+            rows = rows.astype(np.int64, copy=False)
         num_episodes = len(rows)
         shape = (num_episodes, num_nodes)
         track_availability = self.scenario.f is not None
@@ -621,7 +624,7 @@ class BatchRecoveryEngine:
             adversary_state = self.adversary.begin(num_episodes, num_nodes)
         else:
             adversary_uniforms = None
-        return BatchEpisodeState(
+        sim = BatchEpisodeState(
             uniforms=uniforms,
             t=0,
             state=np.full(shape, _HEALTHY, dtype=np.int64),
@@ -654,6 +657,9 @@ class BatchRecoveryEngine:
             adversary_uniforms=adversary_uniforms,
             adversary_state=adversary_state,
         )
+        if profile:
+            sim.profile = EngineProfile()
+        return sim
 
     def forced_recoveries(self, sim: BatchEpisodeState) -> np.ndarray:
         """Boolean mask of streams whose BTR deadline forces the next action."""
@@ -933,7 +939,7 @@ class BatchRecoveryEngine:
         belief updates still go through the kernel's ``update_beliefs``
         (the defender's recursion uses the nominal model).
         """
-        sim = self._begin(uniforms, True, adversary_uniforms)
+        sim = self.begin(uniforms=uniforms, adversary_uniforms=adversary_uniforms)
         if profile is not None:
             sim.profile = profile
         recover = np.empty(sim.state.shape, dtype=bool)

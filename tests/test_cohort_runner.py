@@ -17,9 +17,14 @@ runner:
 * ``attacker_intensity_sweep``;
 * a dynamic-adversary scenario;
 * a stochastic Theorem 2 (Lagrangian mixture) replication cell;
+* one cohort whose members differ in every configuration the loop holds
+  as row data (recovery rules, replication tables, ``k``,
+  ``initial_nodes``, both limit flags) or runs on their own rows (a
+  multi-threshold strategy, a custom policy, a batched replication
+  policy), and one mixing class-aware and classless members;
 
-plus the step count of one cohort (exactly ``horizon`` engine steps) and
-the one-root-per-sweep rule for ``seed=None``.
+plus the step count of one cohort (exactly ``horizon`` engine steps and
+loop calls) and the one-root-per-sweep rule for ``seed=None``.
 """
 
 from __future__ import annotations
@@ -35,15 +40,20 @@ from repro.control import (
     default_tolerance_threshold,
     mixed_closed_loop_sweep,
 )
-from repro.control.cohort import Cohort, CohortMember, scenario_key
+from repro.control import TwoLevelLoop
+from repro.control.cohort import Cohort, CohortMember, event_rows, scenario_key
 from repro.core import (
     BetaBinomialObservationModel,
     MixedReplicationStrategy,
+    MultiThresholdStrategy,
     NodeParameters,
     NoRecoveryStrategy,
+    PeriodicStrategy,
     ReplicationThresholdStrategy,
+    TabularReplicationStrategy,
     ThresholdStrategy,
 )
+from repro.envs.policies import StrategyPolicy
 from repro.core.strategies import ClassPreferenceReplicationStrategy
 from repro.sim import BatchRecoveryEngine, FleetScenario, NodeClass
 from repro.sim.adversary import AdversaryProcess, BurstyAdversary
@@ -317,3 +327,179 @@ class TestCohort:
                 scenario, b, ThresholdStrategy(0.75), _lagrangian()
             ).run_scalar_reference(seed=seed)
             _assert_equal(cohort.result(member), direct)
+
+
+class _EvenTimerPolicy:
+    """A custom ``VectorPolicy`` — no table data, so it acts on its own rows."""
+
+    def act(self, observation, rng=None):
+        even = observation.time_since_recovery % 2 == 0
+        return (observation.beliefs >= 0.5) & even & observation.active
+
+
+class _BatchedReplication:
+    """A deterministic policy served through ``add_probability_batch``.
+
+    Its fractional probabilities make a row that draws a uniform decide
+    differently from one that compares ``p > 1/2``.
+    """
+
+    consumes_rng = False
+
+    def add_probability(self, state):
+        return 0.8 if state < 5 else 0.3
+
+    def add_probability_batch(self, states, node_counts):
+        del node_counts
+        return np.where(states < 5, 0.8, 0.3)
+
+    def action(self, state, rng=None):
+        del rng
+        return int(self.add_probability(state) > 0.5)
+
+
+def _tabular():
+    """Algorithm 2's output form: a mutable table ``pi(a=1 | s)``."""
+    return TabularReplicationStrategy({0: 1.0, 1: 1.0, 2: 0.9, 3: 0.6, 4: 0.35, 5: 0.1})
+
+
+class TestRowDataLoop:
+    """One cohort, one loop: every member configuration is row data."""
+
+    PARAMS = NodeParameters(p_a=0.1, p_c1=2e-3, p_c2=0.05, p_u=0.03, delta_r=9)
+    SMAX = 8
+
+    def _scenario(self, horizon=30):
+        return FleetScenario.homogeneous(
+            self.PARAMS, MODEL, num_nodes=self.SMAX, horizon=horizon, f=1
+        )
+
+    def _specs(self):
+        per_slot = (
+            ThresholdStrategy(0.4),
+            PeriodicStrategy(4.0),
+            NoRecoveryStrategy(),
+            ThresholdStrategy(0.6),
+            PeriodicStrategy(float("inf")),
+            ThresholdStrategy(0.3),
+            PeriodicStrategy(2.0),
+            ThresholdStrategy(0.9),
+        )
+        # (episodes, seed, recovery, replication, k, initial_nodes,
+        #  enforce_invariant, respect_recovery_limit)
+        return [
+            (4, 3, ThresholdStrategy(0.75), ReplicationThresholdStrategy(4), 1, None, True, True),
+            (3, 4, PeriodicStrategy(5.0), _lagrangian(), 2, 5, False, True),
+            (2, 5, NoRecoveryStrategy(), None, 1, 6, True, False),
+            (3, 6, per_slot, _tabular(), 3, 4, True, True),
+            (4, 7, MultiThresholdStrategy((0.9, 0.7, 0.5, 0.3)), _BatchedReplication(), 2, 7, False, False),
+            (2, 8, _EvenTimerPolicy(), _lagrangian(), 1, 4, True, True),
+            (5, 3, ThresholdStrategy(0.3), ReplicationThresholdStrategy(2), 2, 5, True, True),
+            (3, 9, StrategyPolicy(ThresholdStrategy(0.25)), _tabular(), 3, 3, False, True),
+            (4, 3, ThresholdStrategy(0.25), _BatchedReplication(), 1, 4, True, True),
+        ]
+
+    def _controller(self, scenario, spec, engine=None):
+        b, _, recovery, replication, k, initial_nodes, enforce, respect = spec
+        return TwoLevelController(
+            scenario,
+            b,
+            recovery,
+            replication_strategy=replication,
+            initial_nodes=initial_nodes,
+            k=k,
+            enforce_invariant=enforce,
+            respect_recovery_limit=respect,
+            engine=engine,
+        )
+
+    def test_every_member_equals_its_scalar_reference(self, engine_steps, monkeypatch):
+        loop_calls = {"n": 0}
+        original = TwoLevelLoop.pre_step
+
+        def counted(self, observation):
+            loop_calls["n"] += 1
+            return original(self, observation)
+
+        monkeypatch.setattr(TwoLevelLoop, "pre_step", counted)
+        scenario = self._scenario()
+        engine = BatchRecoveryEngine(scenario)
+        cohort = Cohort(engine)
+        specs = self._specs()
+        members = [
+            cohort.add(CohortMember(self._controller(scenario, spec, engine), spec[1]))
+            for spec in specs
+        ]
+        cohort.run()
+        assert engine_steps["n"] == loop_calls["n"] == scenario.horizon
+        for member, spec in zip(members, specs):
+            direct = self._controller(scenario, spec).run_scalar_reference(seed=spec[1])
+            _assert_equal(cohort.result(member), direct)
+
+    def test_class_aware_and_classless_members_share_one_loop(self):
+        scenario = _mixed_scenario(horizon=25)
+        engine = BatchRecoveryEngine(scenario)
+        prefer_db = ClassPreferenceReplicationStrategy(
+            _lagrangian(), preferred="db", class_names=("web", "db")
+        )
+        prefer_web = ClassPreferenceReplicationStrategy(
+            MixedReplicationStrategy(
+                ReplicationThresholdStrategy(2), ReplicationThresholdStrategy(6), kappa=0.7
+            ),
+            preferred="web",
+            class_names=("db", "web"),
+        )
+        specs = [
+            (3, 21, ThresholdStrategy(0.6), prefer_db, 1, 4, True, True),
+            (2, 22, ThresholdStrategy(0.75), ReplicationThresholdStrategy(3), 2, 4, True, True),
+            (4, 23, PeriodicStrategy(6.0), prefer_web, 2, 5, True, False),
+            (2, 24, ThresholdStrategy(0.5), _lagrangian(), 1, 4, False, True),
+            (3, 25, NoRecoveryStrategy(), None, 1, 3, True, True),
+        ]
+        cohort = Cohort(engine)
+        members = [
+            cohort.add(CohortMember(self._controller(scenario, spec, engine), spec[1]))
+            for spec in specs
+        ]
+        served = {id(member): [] for member in members}
+        while not cohort.done:
+            event = cohort.advance()
+            for member in members:
+                served[id(member)].append(event_rows(event, member))
+        for member, spec in zip(members, specs):
+            controller = self._controller(scenario, spec)
+            _assert_equal(cohort.result(member), controller.run_scalar_reference(seed=spec[1]))
+            direct = []
+            controller.run(seed=spec[1], on_step=direct.append)
+            for ours, theirs in zip(served[id(member)], direct, strict=True):
+                for name in ("executed_recoveries", "crashed", "activated", "active"):
+                    np.testing.assert_array_equal(getattr(ours, name), getattr(theirs, name))
+                for name in ("add_class", "action_probabilities"):
+                    mine, alone = getattr(ours.decision, name), getattr(theirs.decision, name)
+                    if alone is None:
+                        assert mine is None, name
+                    else:
+                        np.testing.assert_array_equal(mine, alone, err_msg=name)
+                for name in ("state", "add_node", "emergency_add", "add_probability"):
+                    np.testing.assert_array_equal(
+                        getattr(ours.decision, name), getattr(theirs.decision, name)
+                    )
+
+
+class TestBeginRowMap:
+    def test_a_map_outside_the_buffer_is_a_named_error(self):
+        engine = BatchRecoveryEngine(_mixed_scenario(horizon=5))
+        uniforms = engine.draw_uniforms(1, 3)
+        for rows in ([0, 3], [-1, 0], [[0, 1]], [0.0, 1.0]):
+            with pytest.raises(ValueError, match="rows must map every episode"):
+                engine.begin(uniforms=uniforms, rows=np.asarray(rows))
+
+    def test_a_map_reads_the_rows_it_names(self):
+        engine = BatchRecoveryEngine(_mixed_scenario(horizon=5))
+        uniforms = engine.draw_uniforms(1, 3)
+        sim = engine.begin(uniforms=uniforms, rows=np.array([2, 2, 0]))
+        alone = engine.begin(uniforms=uniforms[[2, 2, 0]])
+        recover = np.zeros(sim.state.shape, dtype=bool)
+        for _ in range(5):
+            np.testing.assert_array_equal(engine.step(sim, recover), engine.step(alone, recover))
+        np.testing.assert_array_equal(sim.belief, alone.belief)

@@ -346,7 +346,20 @@ def children():
             found.append(int(path.split("/")[2]))
     return sorted(found)
 
-print(json.dumps(children()))
+# A child's /proc state letter and command line, for the failure message.
+def describe(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+        with open(f"/proc/{pid}/cmdline", "rb") as handle:
+            cmdline = handle.read().replace(b"\\0", b" ").decode(errors="replace").strip()
+    except OSError as exc:
+        return f"{pid}: gone ({exc.strerror})"
+    return f"{pid}: state {state}, cmdline {cmdline!r}"
+
+left = children()
+print(json.dumps([describe(pid) for pid in left]))
+print(json.dumps(left))
 """
 
 
@@ -374,7 +387,10 @@ def test_sharded_sweeps_leave_no_process_behind():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert completed.returncode == 0, completed.stderr
-    assert json.loads(completed.stdout.splitlines()[-1]) == []
+    *_, described, listed = completed.stdout.splitlines()
+    assert json.loads(listed) == [], "children left running: " + "; ".join(
+        json.loads(described)
+    )
 
 
 class TestEngineProfileMerge:

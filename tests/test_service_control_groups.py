@@ -1,12 +1,11 @@
-"""The fused service tick: control groups, the encoder, and register-time checks.
+"""The fused service tick: one loop per cohort, the encoder, and register-time checks.
 
 What this suite pins down about :mod:`repro.serve`:
 
-* **control groups** — sessions of a cohort whose
-  :meth:`~repro.control.TwoLevelController.control_key` is equal share ONE
-  :class:`~repro.control.TwoLevelLoop`: one ``pre_step`` per group per
-  tick, k calls for k distinct configurations, and every session (grouped
-  or a group of one) stays bit-identical, event for event, to a direct
+* **one loop per cohort** — all sessions of a cohort share ONE
+  :class:`~repro.control.TwoLevelLoop` whatever their configurations (one
+  ``pre_step`` per tick for k distinct configurations or a custom policy),
+  and every session stays bit-identical, event for event, to a direct
   ``TwoLevelController.run(seed=seed)``;
 * **the encoder** — ``encode_event`` serializes byte for byte what the
   per-row reference encoder below produced, over recoveries, evictions,
@@ -218,7 +217,7 @@ def pre_step_calls(monkeypatch):
     return calls
 
 
-class TestControlGroups:
+class TestOneLoopPerCohort:
     def test_shared_configuration_is_one_loop_call_per_tick(self, pre_step_calls):
         scenario = _scenario(horizon=12)
         service = DecisionService()
@@ -226,12 +225,12 @@ class TestControlGroups:
         sessions, _ = _serve_to_horizon(service, registrations, scenario.horizon)
         assert pre_step_calls["n"] == scenario.horizon
         assert service.engine_calls == scenario.horizon
-        assert service.stats()["control_steps"] == scenario.horizon
+        assert service.stats()["engine_calls"] == scenario.horizon
         for sid, (controller, seed) in zip(sessions, registrations):
             direct = _controller(scenario, controller.num_envs).run(seed=seed)
             _assert_result_equal(service.result(sid), direct)
 
-    def test_k_configurations_are_k_loop_calls_per_tick(self, pre_step_calls):
+    def test_k_configurations_are_one_loop_call_per_tick(self, pre_step_calls):
         scenario = _scenario(horizon=10)
         service = DecisionService()
         betas = (1, 2, 1, 3, 2)
@@ -239,9 +238,12 @@ class TestControlGroups:
             (_controller(scenario, 2, ReplicationThresholdStrategy(beta)), seed)
             for seed, beta in enumerate(betas)
         ]
-        _serve_to_horizon(service, registrations, scenario.horizon)
-        assert pre_step_calls["n"] == len(set(betas)) * scenario.horizon
+        sessions, _ = _serve_to_horizon(service, registrations, scenario.horizon)
+        assert pre_step_calls["n"] == scenario.horizon
         assert service.engine_calls == scenario.horizon
+        for sid, (seed, beta) in zip(sessions, enumerate(betas)):
+            direct = _controller(scenario, 2, ReplicationThresholdStrategy(beta)).run(seed=seed)
+            _assert_result_equal(service.result(sid), direct)
 
     def test_interleaved_groups_replay_direct_runs_event_for_event(self):
         scenario = _scenario(horizon=14)
@@ -274,7 +276,6 @@ class TestControlGroups:
             (_controller(scenario, b, _class_aware(0.5)), seed) for b, seed in specs
         ]
         sessions, events = _serve_to_horizon(service, registrations, scenario.horizon)
-        assert len(service._open_cohorts[next(iter(service._open_cohorts))].groups) == 1
         for sid, (b, seed) in zip(sessions, specs):
             direct_result, direct_events = _direct(
                 lambda: _controller(scenario, b, _class_aware(0.5)), seed
@@ -283,9 +284,9 @@ class TestControlGroups:
                 _assert_event_equal(ours, theirs)
             _assert_result_equal(service.result(sid), direct_result)
 
-    def test_uncomparable_policy_is_a_group_of_one(self, pre_step_calls):
+    def test_custom_policy_shares_the_loop_and_equals_a_direct_run(self, pre_step_calls):
         class CustomPolicy:
-            """A VectorPolicy the service cannot compare by value."""
+            """A VectorPolicy that is no table data: it acts on its own rows."""
 
             def __init__(self):
                 self.inner = StrategyPolicy(ThresholdStrategy(0.75))
@@ -295,7 +296,6 @@ class TestControlGroups:
 
         scenario = _scenario(horizon=8)
         custom = _controller(scenario, 2, recovery=CustomPolicy())
-        assert custom.control_key() is None
         service = DecisionService()
         registrations = [
             (custom, 1),
@@ -303,24 +303,11 @@ class TestControlGroups:
             (_controller(scenario, 3), 3),
         ]
         sessions, _ = _serve_to_horizon(service, registrations, scenario.horizon)
-        assert pre_step_calls["n"] == 2 * scenario.horizon
+        assert pre_step_calls["n"] == scenario.horizon
         direct = _controller(scenario, 2).run(seed=1)
         _assert_result_equal(service.result(sessions[0]), direct)
-
-    def test_control_key_compares_strategies_by_value(self):
-        scenario = _scenario()
-        assert _controller(scenario, 2).control_key() == _controller(scenario, 5).control_key()
-        assert (
-            _controller(scenario, 2, ReplicationThresholdStrategy(2)).control_key()
-            != _controller(scenario, 2).control_key()
-        )
-        traced = TwoLevelController(
-            scenario,
-            num_envs=2,
-            recovery_policy=ThresholdStrategy(0.75),
-            record_system_trace=True,
-        )
-        assert traced.control_key() is None
+        for sid, (b, seed) in zip(sessions[1:], ((2, 2), (3, 3))):
+            _assert_result_equal(service.result(sid), _controller(scenario, b).run(seed=seed))
 
 
 class TestEncoder:
