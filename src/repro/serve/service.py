@@ -212,7 +212,8 @@ class _Session(CohortMember):
     ) -> None:
         super().__init__(controller, seed)
         self.id = session_id
-        #: Events produced by cohort advances this session has not consumed.
+        #: Cohort events this session has not consumed; its rows are cut
+        #: out at delivery, so events dropped by ``close`` are never sliced.
         self.events: deque[TwoLevelStepEvent] = deque()
         self.closed = False
 
@@ -342,7 +343,8 @@ class DecisionService:
 
         A session that is behind its cohort first drains buffered events;
         beyond that, each tick advances the whole cohort by one fused
-        engine step (buffering the other members' events).
+        engine step (buffering the cohort's event for the other members,
+        whose rows are cut out when they are delivered).
         """
         if count < 1:
             raise ServiceError("bad-request", f"count must be >= 1, got {count}")
@@ -361,12 +363,12 @@ class DecisionService:
                     event = cohort.advance()
                     for member in cohort.members:
                         if not member.closed:
-                            member.events.append(event_rows(event, member))
+                            member.events.append(event)
                     self.engine_calls += 1
                     self.node_decisions += (
                         cohort.num_episodes * cohort.engine.scenario.num_nodes
                     )
-                delivered.append(session.events.popleft())
+                delivered.append(event_rows(session.events.popleft(), session))
             self.ticks_served += len(delivered)
             return delivered
 

@@ -25,7 +25,7 @@ per episode.  Three properties make that possible:
    the engine precomputes the same CDFs
    (:meth:`~repro.core.node_model.NodeTransitionModel.sampling_cdf`,
    :meth:`~repro.core.observation.ObservationModel.sampling_cdf`) and
-   inverts them with vectorized comparisons.
+   inverts them with vectorized comparisons and exact rank lookups.
 3. *Bit-compatible belief updates.*  The batched prediction step evaluates
    the same ``vector @ matrix`` product as the scalar update (see
    :func:`repro.core.belief._batch_two_state_posterior`), whose rounding
@@ -218,7 +218,6 @@ class BatchEpisodeState:
     initial_belief_mat: np.ndarray = field(default=None, repr=False)  # (B, N) view
     btr_deadline_mat: np.ndarray = field(default=None, repr=False)  # (B, N) view
     transition_base: np.ndarray = field(default=None, repr=False)  # (B, N) flat bases
-    observation_base: np.ndarray = field(default=None, repr=False)  # (B, N) flat bases
     belief_workspace: dict = field(default=None, repr=False)  # reusable (B,) buffers
     profile: EngineProfile | None = field(default=None, repr=False)  # opt-in timings
     #: (B, horizon, K) pre-drawn adversary uniforms (dynamic adversaries only).
@@ -272,10 +271,10 @@ class BatchRecoveryEngine:
         self._initial_belief = scenario.initial_beliefs()  # (N,)
         self._eta = scenario.cost_weights()  # (N,)
         self._btr_deadline = scenario.btr_deadlines()  # (N,)
-        # Flattened CDF tables + per-node index bases for single-gather
-        # lookups in the hot step loop: row (j, a, s) of the transition
-        # table lives at (j * |A| + a) * |S| + s, row (j, s) of the
-        # observation table at j * |S| + s.
+        # Flattened CDF tables + per-node index bases for the kernel's flat
+        # gathers: row (j, a, s) of the transition table lives at
+        # (j * |A| + a) * |S| + s, row (j, s) of the observation table (read
+        # by the run driver on large fleets) at j * |S| + s.
         num_nodes, num_actions, num_states, _ = self._transition_cdf.shape
         self._num_states = num_states
         self._transition_cdf_flat = self._transition_cdf.reshape(-1, num_states)
@@ -652,7 +651,6 @@ class BatchRecoveryEngine:
             initial_belief_mat=np.broadcast_to(self._initial_belief, shape),
             btr_deadline_mat=np.broadcast_to(self._btr_deadline, shape),
             transition_base=np.broadcast_to(self._transition_node_base, shape),
-            observation_base=np.broadcast_to(self._observation_node_base, shape),
             belief_workspace=self._kernel.make_step_workspace(num_episodes),
             adversary_uniforms=adversary_uniforms,
             adversary_state=adversary_state,
@@ -682,9 +680,14 @@ class BatchRecoveryEngine:
         place and returns the per-stream step cost ``c_N(s_t, a_t)``, shape
         ``(B, N)``.
 
-        The body avoids fancy-index scatters in favour of element-wise
-        masked arithmetic: the resulting values are identical (the parity
-        suite checks them bit for bit), but a step over a small batch costs
+        Sampling is exact CDF inversion by rank lookup, with no buffer-wide
+        precompute: a static-adversary transition is the kernel's
+        two-column compare ``(c0 <= u) + (c1 <= u)``, and every observation
+        is one rank of ``u`` in the fleet's merged observation-CDF set plus
+        one integer gather (:class:`~repro.sim.kernels.FusedKernel`).  The
+        body avoids fancy-index scatters in favour of element-wise masked
+        arithmetic: the resulting values are identical (the parity suite
+        checks them bit for bit), but a step over a small batch costs
         roughly half as many microseconds — which matters because the PPO
         rollout loop calls this once per timestep.
         """
@@ -732,9 +735,9 @@ class BatchRecoveryEngine:
             )
         else:
             adversary_u = None
-            transition_rows = sim.transition_base + (recover * num_states + state)
-            cdf_rows = self._transition_cdf_flat[transition_rows]  # (B, N, |S|)
-            next_state = (cdf_rows <= u_transition[..., None]).sum(axis=2)
+            next_state = self._kernel.sample_transitions(
+                u_transition, sim.transition_base + (recover * num_states + state)
+            )
 
         crashed = next_state == _CRASHED
         alive = ~crashed
@@ -795,8 +798,7 @@ class BatchRecoveryEngine:
             )
             if suppress is not None:
                 observed_state = live_state * ~suppress
-        obs_cdf_rows = self._observation_cdf_flat[sim.observation_base + observed_state]
-        observation_index = (obs_cdf_rows <= u_observation[..., None]).sum(axis=2)
+        observation_index = self._kernel.sample_observations(u_observation, observed_state)
         if prof is not None:
             now = perf_counter_ns()
             prof.add("observation_draw", now - t_mark)

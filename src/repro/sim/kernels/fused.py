@@ -36,6 +36,14 @@ Sampling uses exact CDF inversion: ``searchsorted(cdf, u, side="right")``
 computes the same count as the scalar ``(cdf <= u).sum()`` comparison
 (pure comparisons, no arithmetic), and the transition draw needs only the
 first two CDF columns because the third entry is exactly ``1.0 > u``.
+``BatchRecoveryEngine.step`` samples per step by exact rank lookup, with no
+buffer-wide precompute: the transition is the two-column compare
+(:meth:`FusedKernel.sample_transitions`), the observation one rank of ``u``
+in the merged live-state observation CDFs of the whole fleet plus one
+integer gather (:meth:`FusedKernel.sample_observations`).  The run driver
+instead ranks every uniform of the buffer up front against per-node merged
+sets (:meth:`FusedKernel._uniform_ranks`) on fleets of up to
+``_MAX_RANK_NODES`` nodes, and gathers CDF rows on larger ones.
 
 The run driver additionally defers all bookkeeping (cost, recoveries,
 compromises, delay windows, availability) to finalize time: it logs the raw
@@ -100,6 +108,7 @@ class FusedKernel:
         self.tc0 = np.ascontiguousarray(engine._transition_cdf_flat[:, 0])
         self.tc1 = np.ascontiguousarray(engine._transition_cdf_flat[:, 1])
         self._build_rank_tables(engine, pmf)
+        self._build_step_observation_table(engine)
         self._build_transition_rank_tables(num_nodes, num_actions * num_states)
         #: uniforms-buffer -> precomputed rank arrays (see _uniform_ranks).
         self._rank_cache: dict = {}
@@ -149,6 +158,63 @@ class FusedKernel:
         self._rank_base = rank_base
         self._rank_len = rank_len
         self._obs_bucket = [self._bucket_grid(m) for m in self._obs_merged]
+
+    def _build_step_observation_table(self, engine) -> None:
+        """One merged-CDF observation rank table for the whole fleet (``step``).
+
+        The stepwise path ranks each fresh uniform once against the sorted
+        union of the live-state observation CDFs of *every* node, then reads
+        the observation index from a flat table: entry ``step_obs_base[j] +
+        s * step_obs_width + rank`` is ``#{cdf_{j,s} <= u}`` for observed
+        state ``s`` in ``{H, C}`` — exact for the same reason as the per-node
+        tables of :meth:`_build_rank_tables`.  Nodes with equal CDF pairs
+        share one block of the table, so a homogeneous fleet of any size
+        stores a single block.
+        """
+        cdf = engine._observation_cdf[:, _HEALTHY : _COMPROMISED + 1, :]  # (N, 2, |O|)
+        num_nodes = cdf.shape[0]
+        models, node_model = np.unique(
+            cdf.reshape(num_nodes, -1), axis=0, return_inverse=True
+        )
+        models = models.reshape(len(models), 2, -1)
+        merged = np.unique(models)
+        width = len(merged) + 1
+        table = np.zeros((len(models), 2, width), dtype=np.int64)
+        for m, s in np.ndindex(len(models), 2):
+            table[m, s, 1:] = np.searchsorted(models[m, s], merged, side="right")
+        # The top rank is unreachable (u < 1.0 == merged[-1]); clip it into
+        # range like the per-node tables.
+        np.minimum(table, self.num_observations - 1, out=table)
+        self._step_obs_merged = merged
+        self._step_obs_bucket = self._bucket_grid(merged)
+        self._step_obs_width = width
+        self._step_obs_table = table.reshape(-1)
+        self._step_obs_base = np.asarray(node_model).reshape(-1).astype(np.int64) * (
+            2 * width
+        )
+
+    def sample_observations(self, u: np.ndarray, observed_state: np.ndarray) -> np.ndarray:
+        """Observation indices ``#{cdf <= u}`` of ``(B, N)`` streams, exactly.
+
+        ``observed_state`` is each stream's live state as the IDS sees it
+        (``0`` healthy, ``1`` compromised); one rank of ``u`` in the merged
+        fleet-wide CDF set plus one integer gather replaces the per-stream
+        ``(cdf_rows <= u).sum()`` over ``|O|`` columns.
+        """
+        rank = self._ranks(u, self._step_obs_merged, self._step_obs_bucket)
+        rank += observed_state * self._step_obs_width
+        rank += self._step_obs_base
+        return self._step_obs_table.take(rank)
+
+    def sample_transitions(self, u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Next states of ``(B, N)`` streams from flat transition-CDF rows.
+
+        ``next_state = (c0 <= u) + (c1 <= u)``: the third CDF entry is
+        exactly ``1.0`` and ``u < 1``, so two compares count ``#{cdf <= u}``.
+        """
+        next_state = (self.tc0.take(rows) <= u).astype(np.int64)
+        next_state += self.tc1.take(rows) <= u
+        return next_state
 
     def _build_transition_rank_tables(self, num_nodes: int, num_rows: int) -> None:
         """Merged-CDF *transition* rank tables, mirroring the observation ones.
@@ -219,17 +285,16 @@ class FusedKernel:
         return float(k), np.ascontiguousarray(cnt.astype(np.int64)), vals
 
     @staticmethod
-    def _ranks_into(u: np.ndarray, merged: np.ndarray, bucket, out: np.ndarray) -> None:
-        """Write ``rank(u) = #{merged <= u}`` elementwise into ``out``."""
+    def _ranks(u: np.ndarray, merged: np.ndarray, bucket) -> np.ndarray:
+        """``rank(u) = #{merged <= u}`` elementwise, as a new ``int64`` array."""
         if bucket is None:
-            out[...] = np.searchsorted(merged, u.ravel(), side="right").reshape(u.shape)
-            return
+            return np.searchsorted(merged, u.ravel(), side="right").reshape(u.shape)
         kf, cnt, vals = bucket
         idx = (u * kf).astype(np.int64)
         rank = cnt.take(idx)
         for val in vals:
             rank += val.take(idx) <= u
-        out[...] = rank
+        return rank
 
     def _uniform_ranks(self, uniforms: np.ndarray) -> np.ndarray:
         """Precomputed CDF ranks for every uniform in the buffer, memoized.
@@ -258,8 +323,8 @@ class FusedKernel:
         ranks = np.empty((width, 2, num_nodes, num_episodes), dtype=np.int64)
         for j in range(num_nodes):
             ut = uniforms[:, j, :].T
-            self._ranks_into(ut, self._t_merged[j], self._t_bucket[j], ranks[:, 0, j])
-            self._ranks_into(ut, self._obs_merged[j], self._obs_bucket[j], ranks[:, 1, j])
+            ranks[:, 0, j] = self._ranks(ut, self._t_merged[j], self._t_bucket[j])
+            ranks[:, 1, j] = self._ranks(ut, self._obs_merged[j], self._obs_bucket[j])
         flat = ranks.reshape(-1)
         if len(self._rank_cache) >= 4:
             self._rank_cache.pop(next(iter(self._rank_cache)))

@@ -30,6 +30,7 @@ import weakref
 import numpy as np
 import pytest
 
+import repro.serve.service as service_module
 from repro.control import TwoLevelController
 from repro.core import (
     BetaBinomialObservationModel,
@@ -227,6 +228,36 @@ class TestFusedParity:
         with pytest.raises(ServiceError) as excinfo:
             service.tick(s1)
         assert excinfo.value.name == "unknown-session"
+
+    def test_buffered_events_are_sliced_at_delivery_only(self, monkeypatch):
+        scenario = _scenario(horizon=12)
+        sliced: list[tuple[str, int]] = []
+        real_event_rows = service_module.event_rows
+
+        def counting_event_rows(event, member):
+            sliced.append((member.id, event.t))
+            return real_event_rows(event, member)
+
+        monkeypatch.setattr(service_module, "event_rows", counting_event_rows)
+        service = DecisionService()
+        lead = service.register_controller(_controller(scenario, 3), seed=4)
+        lagging = service.register_controller(_controller(scenario, 2), seed=6)
+        closed = service.register_controller(_controller(scenario, 2), seed=9)
+        lead_events = service.tick(lead, count=scenario.horizon)
+        # The lead session's ticks buffer one shared event per tick for the
+        # others; none of them has been cut into rows yet.
+        assert sliced == [(lead, event.t) for event in lead_events]
+        service.close(closed)
+        lagging_events = service.tick(lagging, count=scenario.horizon)
+        assert all(member != closed for member, _ in sliced)
+        assert len(sliced) == 2 * scenario.horizon
+        for sid, events, (b, seed) in (
+            (lead, lead_events, (3, 4)),
+            (lagging, lagging_events, (2, 6)),
+        ):
+            direct_result, direct_events = _direct_run(scenario, b, seed)
+            _assert_events_equal(events, direct_events)
+            _assert_results_equal(service.result(sid), direct_result)
 
 
 class TestCohortRelease:

@@ -29,7 +29,13 @@ from repro.core import (
     PeriodicStrategy,
     ThresholdStrategy,
 )
-from repro.sim import BatchMultiThreshold, BatchRecoveryEngine, FleetScenario
+from repro.sim import (
+    BatchMultiThreshold,
+    BatchRecoveryEngine,
+    FleetScenario,
+    StaticAdversary,
+    StealthAdversary,
+)
 from repro.sim.kernels import FusedKernel
 from repro.solvers import RecoverySimulator
 
@@ -85,24 +91,35 @@ def _assert_matches_scalar(model, strategy, num_episodes, seed, horizon=40, **pa
     assert scalar == batch
 
 
-def _step_loop(engine, strategy, num_episodes, seed):
-    """Drive ``begin``/``step``/``finalize`` with the strategies' masks."""
+def _step_loop(engine, strategy, num_episodes, seed, on_step=None):
+    """Drive ``begin``/``step``/``finalize`` with the strategies' masks.
+
+    Returns the finalized result and, per step, the returned cost and
+    copies of the state, belief, cursor and crash mask; ``on_step(sim)``
+    runs after every step.
+    """
     strategies = engine._normalize_strategies(strategy)
     sim = engine.begin(num_episodes=num_episodes, seed=seed)
     recover = np.empty(sim.state.shape, dtype=bool)
+    snapshots = []
     for _ in range(engine.scenario.horizon):
         for j, node_strategy in enumerate(strategies):
             recover[:, j] = node_strategy.action_batch(
                 sim.belief[:, j], sim.time_since_recovery[:, j]
             )
-        engine.step(sim, recover)
-    return engine.finalize(sim)
+        cost = engine.step(sim, recover)
+        snapshots.append(
+            (cost, sim.state.copy(), sim.belief.copy(), sim.cursor.copy(), sim.last_crashed)
+        )
+        if on_step is not None:
+            on_step(sim)
+    return engine.finalize(sim), snapshots
 
 
 def _assert_run_matches_step_loop(scenario, strategy, num_episodes, seed):
     engine = BatchRecoveryEngine(scenario)
     result = engine.run(strategy, num_episodes=num_episodes, seed=seed)
-    _assert_results_equal(result, _step_loop(engine, strategy, num_episodes, seed))
+    _assert_results_equal(result, _step_loop(engine, strategy, num_episodes, seed)[0])
     return result
 
 
@@ -256,24 +273,20 @@ class TestRankTables:
         bucket = FusedKernel._bucket_grid(merged)
         assert bucket is not None
         u = rng.random((50, 8))
-        out = np.empty_like(u, dtype=np.int64)
-        FusedKernel._ranks_into(u, merged, bucket, out)
         expected = np.searchsorted(merged, u.ravel(), side="right").reshape(u.shape)
-        assert np.array_equal(out, expected)
+        assert np.array_equal(FusedKernel._ranks(u, merged, bucket), expected)
         # Values of the merged set themselves rank as #{merged <= u}.
-        out2 = np.empty(len(merged), dtype=np.int64)
-        FusedKernel._ranks_into(merged, merged, bucket, out2)
-        assert np.array_equal(out2, np.arange(1, len(merged) + 1))
+        ranks = FusedKernel._ranks(merged, merged, bucket)
+        assert np.array_equal(ranks, np.arange(1, len(merged) + 1))
 
     def test_bucket_grid_dense_set_falls_back(self):
         # Eight values inside one 1/65536 bucket: occupancy > 4 at the cap,
-        # so the grid is abandoned and _ranks_into uses searchsorted.
+        # so the grid is abandoned and _ranks uses searchsorted.
         merged = 0.5 + np.arange(8) * 1e-9
         assert FusedKernel._bucket_grid(merged) is None
         u = np.array([0.4999, 0.5 + 3.5e-9, 0.6])
-        out = np.empty(3, dtype=np.int64)
-        FusedKernel._ranks_into(u, merged, None, out)
-        assert np.array_equal(out, np.searchsorted(merged, u, side="right"))
+        ranks = FusedKernel._ranks(u, merged, None)
+        assert np.array_equal(ranks, np.searchsorted(merged, u, side="right"))
 
     def test_rank_cache_memoizes_by_buffer_identity(self):
         engine = BatchRecoveryEngine(_single_node())
@@ -300,6 +313,222 @@ class TestRankTables:
         for row, merged in ((0, kernel._t_merged[0]), (1, kernel._obs_merged[0])):
             expected = np.searchsorted(merged, ut.ravel(), side="right")
             assert np.array_equal(ranks[:, row, 0], expected.reshape(ut.shape))
+
+
+def _gather_and_sum_transitions(engine):
+    """The step's former transition sampler: gather ``(B, N, |S|)`` CDF rows."""
+    cdf_rows = engine._transition_cdf.reshape(-1, engine._transition_cdf.shape[-1])
+
+    def sample(u, rows):
+        return (cdf_rows[rows] <= u[..., None]).sum(axis=2)
+
+    return sample
+
+
+def _gather_and_sum_observations(engine, seen=None):
+    """The step's former observation sampler: gather ``(B, N, |O|)`` CDF rows.
+
+    Appends each call's observed states to ``seen`` when given.
+    """
+    nodes = np.arange(engine.scenario.num_nodes)
+
+    def sample(u, observed_state):
+        if seen is not None:
+            seen.append(observed_state.copy())
+        cdf_rows = engine._observation_cdf[nodes, observed_state]
+        return (cdf_rows <= u[..., None]).sum(axis=2)
+
+    return sample
+
+
+def _reference_engine(scenario, monkeypatch, seen=None):
+    """An engine whose ``step`` samples through the gather-and-sum formulas."""
+    engine = BatchRecoveryEngine(scenario)
+    kernel = engine._kernel
+    monkeypatch.setattr(kernel, "sample_transitions", _gather_and_sum_transitions(engine))
+    monkeypatch.setattr(
+        kernel, "sample_observations", _gather_and_sum_observations(engine, seen)
+    )
+    return engine
+
+
+def _assert_snapshots_equal(ours, theirs):
+    assert len(ours) == len(theirs)
+    for step_ours, step_theirs in zip(ours, theirs):
+        for a, b in zip(step_ours, step_theirs):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+
+def _assert_per_node_scalar(scenario, strategies, result, num_episodes, seed):
+    """Every ``(episode, node)`` stream equals a scalar run on its child seed."""
+    num_nodes = scenario.num_nodes
+    children = np.random.SeedSequence(seed).spawn(num_episodes * num_nodes)
+    for node, (params, model, strategy) in enumerate(
+        zip(scenario.node_params, scenario.observation_models, strategies)
+    ):
+        simulator = RecoverySimulator(params, model, horizon=scenario.horizon)
+        episodes = result.episode_results(node=node)
+        for b in range(num_episodes):
+            rng = np.random.default_rng(children[b * num_nodes + node])
+            assert simulator.run_episode(strategy, rng) == episodes[b]
+
+
+#: Six nodes, each with its own observation model: the merged CDF set of
+#: the step's observation table holds about 6 * 2 * 11 values.
+_DISTINCT_MODELS = tuple(
+    BetaBinomialObservationModel(
+        healthy_alpha=0.5 + 0.1 * j, compromised_alpha=0.8 + 0.15 * j
+    )
+    for j in range(6)
+)
+
+#: Healthy CDF values 0.5, 0.5 + 1e-9, ..., 0.5 + 7e-9: eight values in one
+#: 1/65536 bucket, so the merged set has no bucket grid.
+_DENSE_MODEL = DiscreteObservationModel(
+    observations=list(range(10)),
+    healthy_pmf=[0.5] + [1e-9] * 7 + [0.3, 0.2 - 7e-9],
+    compromised_pmf=[0.05, 0.05, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.2],
+)
+
+#: A second ten-observation model to pair with ``_DENSE_MODEL``.
+_LINEAR_MODEL = DiscreteObservationModel(
+    list(range(10)), np.linspace(10, 1, 10), np.linspace(1, 10, 10)
+)
+
+
+class TestStepSamplers:
+    """``step`` samples by exact rank lookup, bit-equal to gather-and-sum."""
+
+    def _edge_uniforms(self, values, shape, rng):
+        """Uniforms at, just below and just above every CDF value, plus random."""
+        values = values[values < 1.0]
+        edges = np.concatenate(
+            [values, np.nextafter(values, 0.0), np.nextafter(values, 1.0), [0.0]]
+        )
+        edges = edges[(edges >= 0.0) & (edges < 1.0)]
+        u = rng.random(shape)
+        flat = u.reshape(-1)
+        flat[: min(len(edges), flat.size)] = edges[: flat.size]
+        return rng.permutation(flat).reshape(shape)
+
+    @pytest.mark.parametrize(
+        "models",
+        [(_OBSERVATION_MODEL,) * 3, _DISTINCT_MODELS, (_DENSE_MODEL, _LINEAR_MODEL)],
+        ids=["homogeneous", "distinct", "dense"],
+    )
+    def test_samplers_equal_gather_and_sum_at_cdf_edges(self, models):
+        scenario = FleetScenario(tuple(_params() for _ in models), models, horizon=5)
+        engine = BatchRecoveryEngine(scenario)
+        kernel = engine._kernel
+        rng = np.random.default_rng(3)
+        shape = (4000, len(models))
+        u = self._edge_uniforms(engine._observation_cdf.reshape(-1), shape, rng)
+        observed = rng.integers(0, 2, size=shape)
+        expected = _gather_and_sum_observations(engine)(u, observed)
+        got = kernel.sample_observations(u, observed)
+        assert np.array_equal(got, expected)
+        u = self._edge_uniforms(engine._transition_cdf.reshape(-1), shape, rng)
+        rows = (
+            engine._transition_node_base
+            + rng.integers(0, 2, size=shape) * 3
+            + rng.integers(0, 3, size=shape)
+        )
+        expected = _gather_and_sum_transitions(engine)(u, rows)
+        got = kernel.sample_transitions(u, rows)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
+
+    def test_homogeneous_fleet_stores_one_table_block(self):
+        engine = BatchRecoveryEngine(
+            FleetScenario.homogeneous(_params(), _OBSERVATION_MODEL, num_nodes=50)
+        )
+        kernel = engine._kernel
+        assert len(kernel._step_obs_table) == 2 * kernel._step_obs_width
+        assert not kernel._step_obs_base.any()
+
+    @pytest.mark.parametrize("num_episodes", [1, 17], ids=["B=1", "B=17"])
+    def test_distinct_models_step_loop(self, monkeypatch, num_episodes):
+        scenario = FleetScenario(
+            tuple(_params(p_a=0.05 + 0.03 * j) for j in range(6)),
+            _DISTINCT_MODELS,
+            horizon=40,
+            f=2,
+        )
+        engine = BatchRecoveryEngine(scenario)
+        assert len(engine._kernel._step_obs_merged) > 100
+        assert engine._kernel._step_obs_bucket is not None
+        strategies = [ThresholdStrategy(0.3 + 0.1 * j) for j in range(6)]
+        result, snapshots = _step_loop(engine, strategies, num_episodes, seed=5)
+        reference = _reference_engine(scenario, monkeypatch)
+        expected, expected_snapshots = _step_loop(reference, strategies, num_episodes, seed=5)
+        _assert_snapshots_equal(snapshots, expected_snapshots)
+        _assert_results_equal(result, expected)
+        _assert_per_node_scalar(scenario, strategies, result, num_episodes, seed=5)
+
+    def test_dense_merged_set_takes_the_searchsorted_fallback(self, monkeypatch):
+        scenario = FleetScenario(
+            (_params(), _params(p_a=0.3)), (_DENSE_MODEL, _LINEAR_MODEL), horizon=40
+        )
+        engine = BatchRecoveryEngine(scenario)
+        assert engine._kernel._step_obs_bucket is None
+        strategies = [ThresholdStrategy(0.4), PeriodicStrategy(7)]
+        result, snapshots = _step_loop(engine, strategies, 32, seed=9)
+        reference = _reference_engine(scenario, monkeypatch)
+        expected, expected_snapshots = _step_loop(reference, strategies, 32, seed=9)
+        _assert_snapshots_equal(snapshots, expected_snapshots)
+        _assert_results_equal(result, expected)
+        _assert_per_node_scalar(scenario, strategies, result, 32, seed=9)
+
+    def test_stealth_suppression_samples_the_observed_state(self, monkeypatch):
+        scenario = FleetScenario.homogeneous(
+            _params(p_a=0.3),
+            _OBSERVATION_MODEL,
+            num_nodes=4,
+            horizon=40,
+            adversary=StealthAdversary(suppression=0.5),
+        )
+        engine = BatchRecoveryEngine(scenario)
+        seen: list[np.ndarray] = []
+        hidden = []
+
+        def count_hidden(sim):
+            # The live state is compromised but the sampler saw healthy.
+            hidden.append(int(((sim.state == 1) & (seen[-1] == 0)).sum()))
+
+        reference = _reference_engine(scenario, monkeypatch, seen)
+        expected, expected_snapshots = _step_loop(
+            reference, ThresholdStrategy(0.7), 24, seed=13, on_step=count_hidden
+        )
+        assert sum(hidden) > 0
+        result, snapshots = _step_loop(engine, ThresholdStrategy(0.7), 24, seed=13)
+        _assert_snapshots_equal(snapshots, expected_snapshots)
+        _assert_results_equal(result, expected)
+
+    @pytest.mark.parametrize("num_episodes", [1, 12], ids=["B=1", "B=12"])
+    def test_force_dynamic_static_adversary(self, monkeypatch, num_episodes):
+        params = _params(p_a=0.2)
+        static = FleetScenario.homogeneous(params, _SMALL_MODEL, num_nodes=3, horizon=40)
+        dynamic = FleetScenario.homogeneous(
+            params,
+            _SMALL_MODEL,
+            num_nodes=3,
+            horizon=40,
+            adversary=StaticAdversary(force_dynamic=True),
+        )
+        engine = BatchRecoveryEngine(dynamic)
+        assert engine.is_dynamic
+        strategy = ThresholdStrategy(0.5)
+        result, snapshots = _step_loop(engine, strategy, num_episodes, seed=4)
+        static_result, static_snapshots = _step_loop(
+            BatchRecoveryEngine(static), strategy, num_episodes, seed=4
+        )
+        _assert_snapshots_equal(snapshots, static_snapshots)
+        _assert_results_equal(result, static_result)
+        reference = _reference_engine(dynamic, monkeypatch)
+        expected, expected_snapshots = _step_loop(reference, strategy, num_episodes, seed=4)
+        _assert_snapshots_equal(snapshots, expected_snapshots)
+        _assert_per_node_scalar(static, [strategy] * 3, result, num_episodes, seed=4)
 
 
 class TestObservability:
