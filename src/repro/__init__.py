@@ -56,7 +56,7 @@ use it, so a caller pays at import time only for what it uses.
 
 import importlib
 
-__version__ = "1.19.0"
+__version__ = "1.20.0"
 
 _SUBPACKAGES = frozenset(
     {"consensus", "control", "core", "emulation", "envs", "serve", "sim", "solvers"}

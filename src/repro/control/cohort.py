@@ -259,7 +259,7 @@ class Cohort:
         engine = self.engine
         sources = list(sources)
         self.sim = engine.begin(
-            uniforms=engine.draw_uniforms(sources, memoize=False),
+            uniforms=engine.draw_uniforms(sources),
             profile=self.profile,
             adversary_uniforms=engine.draw_adversary_uniforms(sources),
             rows=rows,

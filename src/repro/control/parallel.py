@@ -153,7 +153,7 @@ def _worker_uniforms(engine: BatchRecoveryEngine, entropy: int, lo: int, hi: int
     key = (lo, hi, scenario.num_nodes, scenario.horizon)
     uniforms = memo.get(key)
     if uniforms is None:
-        uniforms = engine.draw_uniforms([(entropy, range(lo, hi))], memoize=False)
+        uniforms = engine.draw_uniforms([(entropy, range(lo, hi))])
         memo.clear()  # one live shard buffer per worker bounds memory
         memo[key] = uniforms
     return uniforms

@@ -5,7 +5,7 @@ Algorithm 2 (and its Theorem 2 Lagrangian relaxation) every time they are
 called — even when the fitted kernel did not change, which is the common
 case for periodic refits on a converged estimate and for benchmark loops
 that rebuild the pipeline per cell.  An LP/bisection solve costs orders of
-magnitude more than a hash, so :class:`PolicySolveCache` memoizes solver
+magnitude more than a hash, so :class:`PolicySolveCache` caches solver
 outcomes keyed by **what the solver actually consumes**:
 
 * a stable content hash of the fitted model

@@ -131,9 +131,8 @@ def engine_fleet_sweep(
     For every initial size ``n1`` an ``n1``-node scenario is compiled once
     and every strategy is evaluated on ``num_episodes`` batched episodes
     with common random numbers: the size's uniform buffers are drawn once
-    and shared by its strategies, without entering the engine's memo, so a
-    sweep over fresh seeds does not pin old buffers (``seed=None`` draws
-    one fresh root for the whole sweep).  ``node_params``/``observation_model``
+    and shared by its strategies (``seed=None`` draws one fresh root for
+    the whole sweep).  ``node_params``/``observation_model``
     accept either one shared value or a per-node sequence of length ``n1``
     (the latter only when a single ``n1`` is swept, since the sequence must
     match the fleet size).  ``n_jobs > 1`` shards the episodes across
@@ -165,7 +164,7 @@ def engine_fleet_sweep(
     table: dict[tuple[int, str], BatchSimulationResult] = {}
     for n1, scenario in scenarios:
         engine = BatchRecoveryEngine(scenario)
-        uniforms = engine.draw_uniforms(root, num_episodes, memoize=False)
+        uniforms = engine.draw_uniforms(root, num_episodes)
         adversary_uniforms = engine.draw_adversary_uniforms(root, num_episodes)
         for name, strategy in strategies.items():
             table[(n1, name)] = engine.run(

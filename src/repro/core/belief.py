@@ -27,7 +27,7 @@ This module implements that filter in two flavours:
   once.  It is the numerical core of the batch simulation engine in
   :mod:`repro.sim` and is bit-compatible with the scalar update;
 * :func:`belief_transition_distribution` -- the next-belief distribution
-  the belief-MDP solvers back up over, optionally memoized in a
+  the belief-MDP solvers back up over, optionally cached in a
   :class:`CachedBeliefDynamics` table.
 
 Degenerate-observation convention
@@ -359,7 +359,7 @@ class CachedBeliefDynamics:
         return len(self._memo)
 
     def get(self, key: tuple, compute):
-        """Return the memoized value for ``key``, computing it on first use."""
+        """Return the cached value for ``key``, computing it on first use."""
         try:
             value = self._memo[key]
         except KeyError:

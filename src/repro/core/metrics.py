@@ -194,7 +194,7 @@ def confidence_interval(
 
     The standard error is ``std(ddof=1) / sqrt(n)``, the arithmetic of
     ``scipy.stats.sem`` without its per-call dispatch, and the t quantile
-    is memoized per ``(confidence, df)``.
+    is cached per ``(confidence, df)``.
     """
     values = np.asarray(
         samples if isinstance(samples, np.ndarray) else list(samples), dtype=float

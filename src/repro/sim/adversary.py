@@ -19,9 +19,9 @@ which the engine stores on its :class:`~repro.sim.engine.BatchEpisodeState`
 and threads back into the per-step hooks.  An adversary implements:
 
 * ``is_static`` — ``True`` iff the pressure equals the scenario baseline at
-  every step.  Static adversaries take the engine's precompiled-CDF fast
-  path (the kernel's rank tables) untouched and are **bit-exact**
-  with the pre-seam engine by construction; dynamic adversaries route
+  every step.  Static adversaries sample from the engine's precompiled
+  transition CDFs and are **bit-exact** with the pre-seam engine by
+  construction; dynamic adversaries route
   through a per-step CDF construction that reproduces
   :meth:`~repro.core.node_model.NodeTransitionModel._build_matrices`
   bit-for-bit when the pressure equals the baseline.

@@ -40,13 +40,11 @@ The kernel
 Every engine runs one kernel, :class:`~repro.sim.kernels.FusedKernel`: the
 belief update of all ``(B, N)`` streams is a few flat gathers plus one
 fused multiply-add, bit-exact against the scalar update.  The engine
-advances it two ways.  :meth:`BatchRecoveryEngine.begin` /
-:meth:`~BatchRecoveryEngine.step` / :meth:`~BatchRecoveryEngine.finalize`
-is the stepwise path the environments and the control loop drive (and the
-only path for dynamic adversaries); :meth:`BatchRecoveryEngine.run` with a
-static adversary uses the kernel's closed run driver, which precomputes the
-CDF rank of every uniform and defers the bookkeeping to the end.  The test
-suite pins the two paths to each other bit for bit.
+advances it one way: :meth:`BatchRecoveryEngine.begin` /
+:meth:`~BatchRecoveryEngine.step` / :meth:`~BatchRecoveryEngine.finalize`,
+the path the environments and the control loop drive.
+:meth:`BatchRecoveryEngine.run` is that loop with a strategy choosing each
+step's recover mask, for static and dynamic adversaries alike.
 """
 
 from __future__ import annotations
@@ -71,14 +69,6 @@ __all__ = ["BatchEpisodeState", "BatchSimulationResult", "BatchRecoveryEngine"]
 _HEALTHY = int(NodeState.HEALTHY)
 _COMPROMISED = int(NodeState.COMPROMISED)
 _CRASHED = int(NodeState.CRASHED)
-
-# Memo of seeded uniform buffers keyed (seed, first episode, end episode, N,
-# width); the arrays are marked read-only before caching.  FIFO-bounded, and
-# very large buffers are never cached so the memo cannot pin hundreds of
-# megabytes.
-_UNIFORM_CACHE: dict[tuple, np.ndarray] = {}
-_UNIFORM_CACHE_MAX_ENTRIES = 8
-_UNIFORM_CACHE_MAX_ELEMENTS = 8_000_000  # 64 MB of float64 per entry
 
 #: ``(seed_i, B_i)`` members of a multi-session draw (see ``draw_uniforms``);
 #: ``B_i`` may instead be a ``range`` of episodes of ``seed_i``'s tree.
@@ -174,8 +164,8 @@ class BatchEpisodeState:
     loop one for one.  The stepwise decomposition is what the vectorized
     environment layer (:mod:`repro.envs`) builds on: a policy can inspect
     ``belief`` / ``time_since_recovery`` between steps and choose the next
-    batch of actions, while :meth:`BatchRecoveryEngine.run` drives the same
-    state with a closed-form strategy — both paths are bit-identical.
+    batch of actions; :meth:`BatchRecoveryEngine.run` steps the same state
+    with a strategy's masks.
     """
 
     #: (B', N, 2 * horizon) pre-generated uniform buffer; episode ``b``
@@ -248,7 +238,7 @@ class BatchRecoveryEngine:
     :meth:`begin` / :meth:`step` / :meth:`finalize` — so that callers that
     need to interleave computation with the dynamics (the vectorized
     environments of :mod:`repro.envs`, and through them the PPO rollout
-    loop) drive exactly the same array operations as :meth:`run`.
+    loop) drive the same loop :meth:`run` drives.
 
     Args:
         scenario: The fleet scenario to precompile.
@@ -271,20 +261,14 @@ class BatchRecoveryEngine:
         self._initial_belief = scenario.initial_beliefs()  # (N,)
         self._eta = scenario.cost_weights()  # (N,)
         self._btr_deadline = scenario.btr_deadlines()  # (N,)
-        # Flattened CDF tables + per-node index bases for the kernel's flat
-        # gathers: row (j, a, s) of the transition table lives at
-        # (j * |A| + a) * |S| + s, row (j, s) of the observation table (read
-        # by the run driver on large fleets) at j * |S| + s.
+        # Flattened transition-CDF table + per-node index bases for the
+        # kernel's flat gathers: row (j, a, s) lives at (j * |A| + a) * |S| + s.
         num_nodes, num_actions, num_states, _ = self._transition_cdf.shape
         self._num_states = num_states
         self._transition_cdf_flat = self._transition_cdf.reshape(-1, num_states)
-        self._observation_cdf_flat = self._observation_cdf.reshape(
-            -1, self._observation_cdf.shape[-1]
-        )
         self._transition_node_base = (
             np.arange(num_nodes, dtype=np.int64) * num_actions * num_states
         )
-        self._observation_node_base = np.arange(num_nodes, dtype=np.int64) * num_states
         # Assumption D regularity: with full-support live-state observation
         # pmfs and positive live mass in every live transition row, the
         # degenerate-observation fallback of the belief recursion can never
@@ -299,8 +283,8 @@ class BatchRecoveryEngine:
             scenario.adversary if scenario.adversary is not None else StaticAdversary()
         )
         #: Whether the adversary requires the per-step dynamic-CDF path.  A
-        #: static adversary keeps the precompiled tables and kernel fast
-        #: paths above untouched (bit-exact with the pre-seam engine).
+        #: static adversary samples from the precompiled tables above
+        #: (bit-exact with the pre-seam engine).
         self._dynamic = not self.adversary.is_static
         # Per-node probability columns for the dynamic per-step CDF
         # construction (mirrors NodeTransitionModel._build_matrices).
@@ -320,8 +304,6 @@ class BatchRecoveryEngine:
         self,
         seed: SeedMembers | int | None,
         num_episodes: int | None = None,
-        *,
-        memoize: bool = True,
     ) -> np.ndarray:
         """Pre-generate the uniform buffer, shape ``(B, N, 2 * horizon)``.
 
@@ -341,34 +323,16 @@ class BatchRecoveryEngine:
         ``seed_i``'s ``hi``-episode buffer, which is how an episode shard
         of :mod:`repro.control.parallel` draws only its own streams.
 
-        Single-member seeded buffers are memoized in a small module-level
-        cache (the buffer is a pure function of ``(seed, B, N, width)`` and
-        the engine never writes into it), so common-random-number loops
-        that rebuild engines per candidate stop regenerating identical
-        gigastreams.  ``memoize=False`` bypasses the memo for a caller that
-        holds the buffer itself and would never look it up again.
+        Every call draws afresh: a caller that wants common random numbers
+        across runs holds the buffer and passes it as ``uniforms=``.
         """
-        members = _members(seed, num_episodes)
         num_nodes = self.scenario.num_nodes
         width = 2 * self.scenario.horizon
-        key = None
-        if memoize and len(members) == 1 and members[0][0] is not None:
-            seed0, episodes = members[0]
-            key = (seed0, episodes.start, episodes.stop, num_nodes, width)
-            cached = _UNIFORM_CACHE.get(key)
-            if cached is not None:
-                return cached
         streams = [
             (resolve_entropy(s), range(b.start * num_nodes, b.stop * num_nodes))
-            for s, b in members
+            for s, b in _members(seed, num_episodes)
         ]
-        uniforms = uniform_streams(streams, width).reshape(-1, num_nodes, width)
-        if key is not None and uniforms.size <= _UNIFORM_CACHE_MAX_ELEMENTS:
-            uniforms.setflags(write=False)
-            if len(_UNIFORM_CACHE) >= _UNIFORM_CACHE_MAX_ENTRIES:
-                _UNIFORM_CACHE.pop(next(iter(_UNIFORM_CACHE)))
-            _UNIFORM_CACHE[key] = uniforms
-        return uniforms
+        return uniform_streams(streams, width).reshape(-1, num_nodes, width)
 
     def draw_adversary_uniforms(
         self, seed: SeedMembers | int | None, num_episodes: int | None = None
@@ -411,6 +375,10 @@ class BatchRecoveryEngine:
     ) -> BatchSimulationResult:
         """Simulate ``num_episodes`` episodes of the whole fleet.
 
+        :meth:`begin`, one :meth:`step` per horizon step with the recover
+        masks the strategies choose from the current beliefs, then
+        :meth:`finalize`.
+
         Args:
             strategies: One strategy shared by every node, or a sequence of
                 per-node strategies (scalar strategies are batched via
@@ -430,33 +398,19 @@ class BatchRecoveryEngine:
                 require it; the seed path draws it automatically from the
                 same seed).
         """
-        if uniforms is None:
-            if num_episodes is None or num_episodes < 1:
-                raise ValueError("num_episodes must be >= 1")
-            if self._dynamic and seed is None:
-                # Resolve one entropy up front so the engine streams and the
-                # adversary streams come from the same (fresh) root.
-                seed = resolve_entropy(None)
-            uniforms = self.draw_uniforms(seed, num_episodes)
-            if self._dynamic and adversary_uniforms is None:
-                adversary_uniforms = self.draw_adversary_uniforms(seed, num_episodes)
         batch_strategies = self._normalize_strategies(strategies)
-        prof = EngineProfile() if profile is True else profile
-        result = self._simulate(
-            batch_strategies,
-            uniforms,
-            profile=prof,
-            adversary_uniforms=adversary_uniforms,
+        sim = self._begin_run(num_episodes, seed, uniforms, adversary_uniforms)
+        return self._drive(
+            sim, batch_strategies, EngineProfile() if profile is True else profile
         )
-        if prof is not None:
-            result = replace(result, profile=prof)
-        return result
 
     def run_threshold_population(
         self,
         thresholds: np.ndarray,
         num_episodes: int,
         seed: int | None = None,
+        uniforms: np.ndarray | None = None,
+        adversary_uniforms: np.ndarray | None = None,
     ) -> np.ndarray:
         """Estimate ``J(theta)`` for a whole population of threshold vectors.
 
@@ -471,6 +425,11 @@ class BatchRecoveryEngine:
                 vector is treated as ``K = 1``).
             num_episodes: Episodes per candidate ``M``.
             seed: Seed for the shared episode streams.
+            uniforms: Pre-drawn ``(M, 1, width)`` uniform buffer, bypassing
+                :meth:`draw_uniforms`; an optimizer that evaluates many
+                populations on the same streams draws it once.
+            adversary_uniforms: Pre-drawn ``(M, horizon, K)`` adversary
+                buffer, as for :meth:`run`.
 
         Returns:
             Estimated costs, shape ``(K,)``.
@@ -479,23 +438,19 @@ class BatchRecoveryEngine:
             raise ValueError("population evaluation requires a single-node scenario")
         if num_episodes < 1:
             raise ValueError("num_episodes must be >= 1")
+        if uniforms is not None and len(uniforms) != num_episodes:
+            raise ValueError(
+                f"uniforms must hold num_episodes ({num_episodes}) rows, got "
+                f"{len(uniforms)}"
+            )
         thresholds = np.atleast_2d(np.asarray(thresholds, dtype=float))
         num_candidates = thresholds.shape[0]
-        if self._dynamic and seed is None:
-            seed = resolve_entropy(None)
-        base = self.draw_uniforms(seed, num_episodes)  # (M, 1, 2T)
-        uniforms = np.tile(base, (num_candidates, 1, 1))  # (K*M, 1, 2T)
-        adversary_uniforms = None
-        if self._dynamic:
-            # Common random numbers for the adversary too: every candidate
-            # sees the same attack realisations.
-            adversary_base = self.draw_adversary_uniforms(seed, num_episodes)
-            if adversary_base is not None:
-                adversary_uniforms = np.tile(adversary_base, (num_candidates, 1, 1))
+        # Every candidate reads the same M buffer rows (and, through the
+        # same map, the same attack realisations): common random numbers.
+        rows = np.tile(np.arange(num_episodes, dtype=np.int64), num_candidates)
+        sim = self._begin_run(num_episodes, seed, uniforms, adversary_uniforms, rows)
         strategy = BatchMultiThreshold(np.repeat(thresholds, num_episodes, axis=0))
-        result = self._simulate(
-            [strategy], uniforms, adversary_uniforms=adversary_uniforms
-        )
+        result = self._drive(sim, [strategy], None)
         costs = result.average_cost.reshape(num_candidates, num_episodes)
         return costs.mean(axis=1)
 
@@ -680,12 +635,12 @@ class BatchRecoveryEngine:
         place and returns the per-stream step cost ``c_N(s_t, a_t)``, shape
         ``(B, N)``.
 
-        Sampling is exact CDF inversion by rank lookup, with no buffer-wide
-        precompute: a static-adversary transition is the kernel's
-        two-column compare ``(c0 <= u) + (c1 <= u)``, and every observation
-        is one rank of ``u`` in the fleet's merged observation-CDF set plus
-        one integer gather (:class:`~repro.sim.kernels.FusedKernel`).  The
-        body avoids fancy-index scatters in favour of element-wise masked
+        Sampling is exact CDF inversion by rank lookup: a static-adversary
+        transition is the kernel's two-column compare ``(c0 <= u) + (c1 <=
+        u)``, and every observation is one rank of ``u`` in the fleet's
+        merged observation-CDF set plus one integer gather
+        (:class:`~repro.sim.kernels.FusedKernel`).  The body avoids
+        fancy-index scatters in favour of element-wise masked
         arithmetic: the resulting values are identical (the parity suite
         checks them bit for bit), but a step over a small batch costs
         roughly half as many microseconds — which matters because the PPO
@@ -912,43 +867,45 @@ class BatchRecoveryEngine:
             c_compromised <= u_transition
         )
 
-    def _simulate(
+    def _begin_run(
         self,
-        strategies: list[BatchStrategy],
-        uniforms: np.ndarray,
-        profile: EngineProfile | None = None,
-        adversary_uniforms: np.ndarray | None = None,
-    ) -> BatchSimulationResult:
-        if self._dynamic:
-            return self._simulate_dynamic(
-                strategies, uniforms, profile, adversary_uniforms
-            )
-        return self._kernel.simulate(strategies, uniforms, profile=profile)
-
-    def _simulate_dynamic(
-        self,
-        strategies: list[BatchStrategy],
-        uniforms: np.ndarray,
-        profile: EngineProfile | None,
+        num_episodes: int | None,
+        seed: int | None,
+        uniforms: np.ndarray | None,
         adversary_uniforms: np.ndarray | None,
-    ) -> BatchSimulationResult:
-        """Generic step-loop driver for dynamic adversaries.
+        rows: np.ndarray | None = None,
+    ) -> BatchEpisodeState:
+        """:meth:`begin` for a whole run: a pre-drawn buffer wins over a seed."""
+        if uniforms is None:
+            return self.begin(
+                num_episodes, seed, adversary_uniforms=adversary_uniforms, rows=rows
+            )
+        return self.begin(uniforms=uniforms, adversary_uniforms=adversary_uniforms, rows=rows)
 
-        The kernel's closed ``simulate`` driver bakes the static per-node
-        CDFs (merged-CDF rank tables, transition tables) in at construction
-        time, so dynamic adversaries route through this explicit loop
-        instead — :meth:`step` rebuilds the transition CDFs per step, while
-        belief updates still go through the kernel's ``update_beliefs``
-        (the defender's recursion uses the nominal model).
+    def _drive(
+        self,
+        sim: BatchEpisodeState,
+        strategies: list[BatchStrategy],
+        profile: EngineProfile | None,
+    ) -> BatchSimulationResult:
+        """Step ``sim`` to the horizon under per-node strategies, then finalize.
+
+        Each node's strategy maps its ``(B,)`` beliefs and BTR clocks to the
+        node's column of the recover mask; :meth:`step` applies the BTR
+        deadline on top.  With a profile, the strategy calls are timed as
+        the ``strategy`` phase and :meth:`step` times the rest.
         """
-        sim = self.begin(uniforms=uniforms, adversary_uniforms=adversary_uniforms)
-        if profile is not None:
-            sim.profile = profile
+        sim.profile = profile
         recover = np.empty(sim.state.shape, dtype=bool)
         for _ in range(self.scenario.horizon):
+            if profile is not None:
+                t0 = perf_counter_ns()
             for j, strategy in enumerate(strategies):
                 recover[:, j] = strategy.action_batch(
                     sim.belief[:, j], sim.time_since_recovery[:, j]
                 )
+            if profile is not None:
+                profile.add("strategy", perf_counter_ns() - t0)
             self.step(sim, recover)
-        return self.finalize(sim)
+        result = self.finalize(sim)
+        return result if profile is None else replace(result, profile=profile)

@@ -43,15 +43,17 @@ class _BatchThresholdObjective:
     Implements the plain callable protocol expected by every optimizer plus
     the optional ``evaluate_population`` hook that population-based
     optimizers use to estimate all candidates in one vectorized simulation.
-    Both entry points use common random numbers (the same episode seed tree)
-    so candidate comparisons are low-variance and identical to the scalar
-    estimator's.
+    Both entry points use common random numbers: the episode streams of
+    ``seed`` (and the adversary's, if any) are drawn once here and every
+    evaluation reads them, so candidate comparisons are low-variance and
+    identical to the scalar estimator's.
     """
 
     def __init__(self, engine, num_episodes: int, seed: int) -> None:
         self._engine = engine
         self._num_episodes = num_episodes
-        self._seed = seed
+        self._uniforms = engine.draw_uniforms(seed, num_episodes)
+        self._adversary_uniforms = engine.draw_adversary_uniforms(seed, num_episodes)
 
     def __call__(self, theta: np.ndarray) -> float:
         return float(self.evaluate_population(np.atleast_2d(theta))[0])
@@ -59,7 +61,10 @@ class _BatchThresholdObjective:
     def evaluate_population(self, thetas: np.ndarray) -> np.ndarray:
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         return self._engine.run_threshold_population(
-            thetas, num_episodes=self._num_episodes, seed=self._seed
+            thetas,
+            num_episodes=self._num_episodes,
+            uniforms=self._uniforms,
+            adversary_uniforms=self._adversary_uniforms,
         )
 
 

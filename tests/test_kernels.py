@@ -1,14 +1,13 @@
 """Tests for the batch engine's kernel (``repro.sim.kernels``).
 
-Pins :class:`~repro.sim.kernels.FusedKernel` to its two oracles: the scalar
-:class:`~repro.solvers.evaluation.RecoverySimulator` for single-node runs
-(random parameters, the degenerate-observation model, every strategy class,
-per-episode thresholds), and the stepwise ``begin``/``step``/``finalize``
-loop for multi-node fleets — the loop whose per-node equality to scalar
-runs ``tests/test_sim_equivalence.py`` pins.  Also covers the rank-table
-machinery behind the closed run driver and the observability satellites
-(per-phase profiles, workspace allocation in ``begin``, the belief-dynamics
-memo).
+Pins :class:`~repro.sim.kernels.FusedKernel` and ``BatchRecoveryEngine.run``
+to the scalar :class:`~repro.solvers.evaluation.RecoverySimulator`: whole
+episodes for single-node runs (random parameters, the degenerate-observation
+model, every strategy class, per-episode thresholds) and every ``(episode,
+node)`` stream of multi-node fleets.  Also covers the step samplers' rank
+lookups against the gather-and-sum formulas they replace, and the
+observability satellites (per-phase profiles, workspace allocation in
+``begin``, the belief-dynamics memo).
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_sim_equivalence import STRATEGY_CASES
 
-import repro.sim.kernels.fused as fused_module
 from repro.core import (
     BetaBinomialObservationModel,
     CachedBeliefDynamics,
@@ -116,10 +114,12 @@ def _step_loop(engine, strategy, num_episodes, seed, on_step=None):
     return engine.finalize(sim), snapshots
 
 
-def _assert_run_matches_step_loop(scenario, strategy, num_episodes, seed):
+def _assert_run_matches_scalar(scenario, strategy, num_episodes, seed):
+    """``run`` == a scalar episode per ``(episode, node)`` stream."""
     engine = BatchRecoveryEngine(scenario)
     result = engine.run(strategy, num_episodes=num_episodes, seed=seed)
-    _assert_results_equal(result, _step_loop(engine, strategy, num_episodes, seed)[0])
+    strategies = [strategy] * scenario.num_nodes
+    _assert_per_node_scalar(scenario, strategies, result, num_episodes, seed)
     return result
 
 
@@ -230,8 +230,6 @@ class TestFusedBitExactness:
 
     @pytest.mark.parametrize("num_nodes", [2, 4, 6])
     def test_multi_node_parity(self, num_nodes):
-        """Covers both the rank path (N <= 4) and the raw path (N > 4)."""
-        assert fused_module._MAX_RANK_NODES == 4
         scenario = FleetScenario.homogeneous(
             NodeParameters(p_a=0.15, delta_r=10),
             _OBSERVATION_MODEL,
@@ -239,30 +237,25 @@ class TestFusedBitExactness:
             horizon=30,
             f=1,
         )
-        result = _assert_run_matches_step_loop(
+        result = _assert_run_matches_scalar(
             scenario, ThresholdStrategy(0.5), num_episodes=24, seed=2
         )
         assert result.availability is not None
 
 
-class TestRunMatchesStepLoop:
-    """The closed run driver is bit-equal to a begin/step/finalize loop."""
+class TestRunMatchesScalar:
+    """``run`` equals the scalar simulator on every ``(episode, node)`` stream."""
 
     @pytest.mark.parametrize("f", [None, 1], ids=["no-f", "f=1"])
     @pytest.mark.parametrize("num_nodes", [1, 4, 5, 10])
     @pytest.mark.parametrize(
         "strategy", STRATEGY_CASES.values(), ids=STRATEGY_CASES.keys()
     )
-    def test_run_equals_step_loop(self, strategy, num_nodes, f):
-        # N = 4 is the largest fleet on the rank path, N = 5 the smallest
-        # on the raw-uniform path.
-        assert fused_module._MAX_RANK_NODES == 4
+    def test_run_equals_scalar_per_node(self, strategy, num_nodes, f):
         scenario = FleetScenario.homogeneous(
             _params(), _OBSERVATION_MODEL, num_nodes=num_nodes, horizon=30, f=f
         )
-        result = _assert_run_matches_step_loop(
-            scenario, strategy, num_episodes=16, seed=21
-        )
+        result = _assert_run_matches_scalar(scenario, strategy, num_episodes=16, seed=21)
         assert (result.availability is None) == (f is None)
 
 
@@ -287,32 +280,6 @@ class TestRankTables:
         u = np.array([0.4999, 0.5 + 3.5e-9, 0.6])
         ranks = FusedKernel._ranks(u, merged, None)
         assert np.array_equal(ranks, np.searchsorted(merged, u, side="right"))
-
-    def test_rank_cache_memoizes_by_buffer_identity(self):
-        engine = BatchRecoveryEngine(_single_node())
-        kernel = engine._kernel
-        uniforms = engine.draw_uniforms(0, 16)
-        first = kernel._uniform_ranks(uniforms)
-        assert kernel._uniform_ranks(uniforms) is first
-        # The entry pins the buffer, so the address key cannot be recycled.
-        key = uniforms.__array_interface__["data"][0]
-        assert kernel._rank_cache[key][0] is uniforms
-        # A different buffer gets its own entry; the cache stays bounded.
-        for seed in range(1, 6):
-            kernel._uniform_ranks(engine.draw_uniforms(seed, 16))
-        assert len(kernel._rank_cache) <= 4
-
-    def test_uniform_ranks_values(self):
-        engine = BatchRecoveryEngine(_single_node())
-        kernel = engine._kernel
-        uniforms = engine.draw_uniforms(1, 4)
-        num_episodes, num_nodes, width = uniforms.shape
-        flat = kernel._uniform_ranks(uniforms)
-        ranks = flat.reshape(width, 2, num_nodes, num_episodes)
-        ut = uniforms[:, 0, :].T
-        for row, merged in ((0, kernel._t_merged[0]), (1, kernel._obs_merged[0])):
-            expected = np.searchsorted(merged, ut.ravel(), side="right")
-            assert np.array_equal(ranks[:, row, 0], expected.reshape(ut.shape))
 
 
 def _gather_and_sum_transitions(engine):
@@ -565,13 +532,6 @@ class TestObservability:
         engine.step(sim, np.zeros((8, 1), dtype=bool))
         assert sim.profile is not None
         assert sim.profile.nanos["belief_update"] > 0
-
-    def test_uniforms_memoized_per_seed(self):
-        engine = BatchRecoveryEngine(_single_node())
-        first = engine.draw_uniforms(0, 16)
-        assert engine.draw_uniforms(0, 16) is first
-        assert not first.flags.writeable
-        assert engine.draw_uniforms(1, 16) is not first
 
 
 class TestCachedBeliefDynamics:

@@ -165,7 +165,7 @@ class TestShardingPrimitives:
         engine = BatchRecoveryEngine(scenario)
         full = engine.draw_uniforms(5, num_episodes=6)
         for lo, hi in ((0, 2), (2, 5), (5, 6), (0, 6)):
-            shard = engine.draw_uniforms([(5, range(lo, hi))], memoize=False)
+            shard = engine.draw_uniforms([(5, range(lo, hi))])
             np.testing.assert_array_equal(shard, full[lo:hi])
 
 

@@ -98,7 +98,7 @@ def test_range_members_equal_the_slice_of_the_full_draw():
     full = engine.draw_uniforms(11, 7)
     for lo, hi in ((0, 7), (1, 4), (6, 7)):
         np.testing.assert_array_equal(
-            engine.draw_uniforms([(11, range(lo, hi))], memoize=False), full[lo:hi]
+            engine.draw_uniforms([(11, range(lo, hi))]), full[lo:hi]
         )
 
 

@@ -207,6 +207,16 @@ class TestPopulationObjective:
         with pytest.raises(ValueError):
             engine.run_threshold_population(np.array([[0.5]]), num_episodes=0)
 
+    def test_population_reads_a_predrawn_buffer(self, simulator):
+        engine = simulator._batch_engine()
+        thetas = np.array([[0.2, 0.5, 0.7], [0.9, 0.9, 0.9]])
+        uniforms = engine.draw_uniforms(13, 8)
+        predrawn = engine.run_threshold_population(thetas, 8, uniforms=uniforms)
+        seeded = engine.run_threshold_population(thetas, 8, seed=13)
+        assert np.array_equal(predrawn, seeded)
+        with pytest.raises(ValueError, match="rows"):
+            engine.run_threshold_population(thetas, 4, uniforms=uniforms)
+
     def test_batch_multi_threshold_validates_shapes(self):
         with pytest.raises(ValueError):
             BatchMultiThreshold(np.empty((3, 0)))
