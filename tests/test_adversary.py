@@ -213,6 +213,26 @@ class TestDynamicRunPathParity:
         assert costs.shape == (3,)
         assert np.isfinite(costs).all()
 
+    def test_population_reads_predrawn_adversary_buffer(self):
+        scenario = FleetScenario.single_node(
+            NodeParameters(p_a=0.1), _MODEL, horizon=40, adversary=BurstyAdversary()
+        )
+        engine = BatchRecoveryEngine(scenario)
+        thetas = np.array([[0.5], [0.75], [0.95]])
+        uniforms = engine.draw_uniforms(7, 32)
+        adversary_uniforms = engine.draw_adversary_uniforms(7, 32)
+        predrawn = engine.run_threshold_population(
+            thetas, 32, uniforms=uniforms, adversary_uniforms=adversary_uniforms
+        )
+        seeded = engine.run_threshold_population(thetas, num_episodes=32, seed=7)
+        assert np.array_equal(predrawn, seeded)
+        with pytest.raises(ValueError, match="adversary_uniforms"):
+            engine.run_threshold_population(thetas, 32, uniforms=uniforms)
+        with pytest.raises(ValueError, match="adversary_uniforms"):
+            engine.run_threshold_population(
+                thetas, 32, uniforms=uniforms, adversary_uniforms=adversary_uniforms[:16]
+            )
+
 
 class TestZooGoldenSnapshots:
     """Fixed seed -> pinned summary metrics, one snapshot per zoo member."""

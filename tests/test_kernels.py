@@ -533,6 +533,17 @@ class TestObservability:
         assert sim.profile is not None
         assert sim.profile.nanos["belief_update"] > 0
 
+    def test_uniforms_drawn_afresh_per_call(self):
+        engine = BatchRecoveryEngine(_single_node())
+        first = engine.draw_uniforms(0, 16)
+        second = engine.draw_uniforms(0, 16)
+        assert second is not first
+        assert np.array_equal(first, second)
+        # The buffers are independent: a caller may hold or overwrite one.
+        second[...] = 0.0
+        assert not np.array_equal(first, second)
+        assert not np.array_equal(engine.draw_uniforms(1, 16), first)
+
 
 class TestCachedBeliefDynamics:
     def test_memoization_counters(self):

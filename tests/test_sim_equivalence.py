@@ -39,6 +39,7 @@ from repro.sim import (
 )
 from repro.solvers import RecoverySimulator, solve_recovery_problem
 from repro.solvers.optimizers import CrossEntropyMethod, RandomSearch
+from repro.solvers.parametric import _BatchThresholdObjective
 
 HORIZON = 60
 EPISODES = 25
@@ -216,6 +217,22 @@ class TestPopulationObjective:
         assert np.array_equal(predrawn, seeded)
         with pytest.raises(ValueError, match="rows"):
             engine.run_threshold_population(thetas, 4, uniforms=uniforms)
+
+    def test_objective_draws_its_buffers_once(self, simulator, monkeypatch):
+        engine = simulator._batch_engine()
+        thetas = np.array([[0.2, 0.5, 0.7], [0.9, 0.9, 0.9]])
+        objective = _BatchThresholdObjective(engine, num_episodes=8, seed=13)
+
+        def no_redraw(*args, **kwargs):
+            raise AssertionError("the objective re-drew its uniform buffer")
+
+        monkeypatch.setattr(engine, "draw_uniforms", no_redraw)
+        first = objective.evaluate_population(thetas)
+        assert np.array_equal(objective.evaluate_population(thetas), first)
+        assert objective(thetas[1]) == float(first[1])
+        monkeypatch.undo()
+        seeded = engine.run_threshold_population(thetas, num_episodes=8, seed=13)
+        assert np.array_equal(first, seeded)
 
     def test_batch_multi_threshold_validates_shapes(self):
         with pytest.raises(ValueError):
