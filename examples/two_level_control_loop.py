@@ -1,48 +1,67 @@
 #!/usr/bin/env python3
-"""The full two-level feedback loop: emulation + consensus + both controllers.
+"""The full two-level feedback loop: both controllers driving a live MinBFT group.
 
-This example runs the integrated :class:`ToleranceArchitecture` (Fig. 2 of
-the paper): emulated nodes with IDS alert streams and an active attacker,
-node controllers performing belief-based recovery, a system controller
-(backed by a Raft log) managing the replication factor, and a MinBFT replica
-group serving a client workload whose safety and validity are audited at the
-end of the run.
+This example runs the TOLERANCE architecture (Fig. 2 of the paper) through
+:class:`~repro.control.ConsensusBackedFleet`: node controllers perform
+belief-based recovery, a system controller manages the replication factor,
+and every decision is mirrored onto a MinBFT replica group serving a client
+workload — recoveries restart a replica with a fresh USIG and state
+transfer, evictions and additions reconfigure the group, and compromised
+nodes turn Byzantine.  The safety invariants are audited after every
+reconfiguration.
 
-It then contrasts the TOLERANCE strategy with the NO-RECOVERY baseline on
-the same workload, reproducing in miniature the comparison of Table 7.
+It contrasts the TOLERANCE strategy with the NO-RECOVERY baseline on the
+same scenario and seed, reproducing in miniature the comparison of Table 7.
 
 Run with:  python examples/two_level_control_loop.py
 """
 
 from __future__ import annotations
 
-from repro.core import NodeParameters, ThresholdStrategy, ToleranceArchitecture
-from repro.emulation import EmulationConfig, no_recovery_policy, tolerance_policy
+from repro.core import (
+    BetaBinomialObservationModel,
+    NodeParameters,
+    NoRecoveryStrategy,
+    ReplicationThresholdStrategy,
+    ThresholdStrategy,
+)
 
 
-def run_once(policy, label: str) -> None:
-    print(f"\n--- running the integrated architecture with the {label} policy ---")
-    architecture = ToleranceArchitecture(
-        config=EmulationConfig(
-            initial_nodes=4,
-            horizon=25,
-            node_params=NodeParameters(p_a=0.1),
-        ),
-        policy=policy,
-        requests_per_step=2.0,
-        seed=42,
+def run_once(recovery_policy, label: str) -> None:
+    from repro.control import ConsensusBackedFleet
+    from repro.sim import FleetScenario
+
+    print(f"\n--- two-level control over a live MinBFT group: {label} ---")
+    scenario = FleetScenario.homogeneous(
+        NodeParameters(p_a=0.1),
+        BetaBinomialObservationModel(),
+        num_nodes=8,
+        horizon=40,
+        f=1,
     )
-    report = architecture.run()
+    fleet = ConsensusBackedFleet(
+        scenario,
+        recovery_policy=recovery_policy,
+        replication_strategy=ReplicationThresholdStrategy(1),
+        initial_nodes=4,
+        num_clients=3,
+        pipeline=2,
+        ticks_per_step=12,
+    )
+    result = fleet.run(seed=5)
+    workload = result.workload
 
-    print(f"  availability T(A)              = {report.metrics.availability:.2f}")
-    print(f"  time-to-recovery T(R)          = {report.metrics.time_to_recovery:.1f} steps")
-    print(f"  recovery frequency F(R)        = {report.metrics.recovery_frequency:.3f}")
-    print(f"  client requests completed      = {report.requests_completed}/{report.requests_submitted}")
-    print(f"  safety holds                   = {report.safety_holds}")
-    print(f"  validity holds                 = {report.validity_holds}")
-    print(f"  controller decisions in Raft   = {report.controller_log_entries}")
-    violations = report.invariant_violations or {}
-    print(f"  Proposition 1 violations       = {violations if violations else 'none'}")
+    print(f"  controller availability T(A)   = {result.availability:.2f}")
+    print(f"  served availability            = {result.served_availability:.2f}")
+    print(
+        f"  client requests completed      = "
+        f"{workload['completed_requests']:.0f}/{workload['submitted_requests']:.0f}"
+    )
+    print(f"  safety holds (every audit)     = {result.safety_ok}")
+    print(
+        f"  recoveries / evictions / additions / compromises = "
+        f"{result.recoveries} / {result.evictions} / {result.additions} / {result.compromises}"
+    )
 
 
 def run_batched_control_plane() -> None:
@@ -55,7 +74,6 @@ def run_batched_control_plane() -> None:
     emulation runs for fleet-scale sweeps.
     """
     from repro.control import TwoLevelController, identify_replication_strategies
-    from repro.core import BetaBinomialObservationModel
     from repro.sim import FleetScenario
 
     print("\n--- batched control plane: 200 closed-loop fleet episodes ---")
@@ -93,7 +111,6 @@ def run_mixed_fleet() -> None:
     reports per-class metrics alongside an attacker-intensity sweep.
     """
     from repro.control import ClosedLoopCell, attacker_intensity_sweep
-    from repro.core import BetaBinomialObservationModel
     from repro.sim import FleetScenario, NodeClass
 
     print("\n--- mixed container fleet: per-class metrics + attacker sweep ---")
@@ -152,11 +169,7 @@ def run_class_aware_replication() -> None:
         fit_class_aware_system_model,
         optimize_class_deltas,
     )
-    from repro.core import (
-        BetaBinomialObservationModel,
-        ClassPreferenceReplicationStrategy,
-        ReplicationThresholdStrategy,
-    )
+    from repro.core import ClassPreferenceReplicationStrategy
     from repro.envs import FleetVectorEnv, StrategyPolicy, rollout
     from repro.sim import FleetScenario, NodeClass
     from repro.solvers import solve_class_aware_replication_lp
@@ -227,12 +240,12 @@ def run_class_aware_replication() -> None:
 
 
 def main() -> None:
-    run_once(tolerance_policy(alpha=0.75), "TOLERANCE")
-    run_once(no_recovery_policy(), "NO-RECOVERY")
+    run_once(ThresholdStrategy(0.75), "TOLERANCE")
+    run_once(NoRecoveryStrategy(), "NO-RECOVERY")
     print(
         "\nTOLERANCE keeps the service available by recovering compromised replicas "
         "promptly, while NO-RECOVERY accumulates compromised replicas until the "
-        "tolerance threshold f is exceeded."
+        "tolerance threshold f is exceeded and completes far fewer client requests."
     )
     run_batched_control_plane()
     run_mixed_fleet()

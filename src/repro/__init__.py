@@ -5,7 +5,7 @@ The package is organised as:
 
 * :mod:`repro.core` -- the TOLERANCE contribution: node/observation/belief
   models, the two control problems, threshold strategies, controllers,
-  reliability analysis, metrics and the integrated architecture;
+  reliability analysis and metrics;
 * :mod:`repro.solvers` -- Algorithm 1 (parametric threshold optimization with
   CEM/DE/SPSA/BO), Algorithm 2 (occupancy-measure LP), incremental pruning,
   value/policy iteration and the PPO baseline;
@@ -23,7 +23,9 @@ The package is organised as:
   batched ``TwoLevelController`` coupling node recovery with replication
   control over B fleets at once, the empirical ``f_S``
   system-identification loop, a PPO replication policy trained on the
-  fleet environment, and the consolidated fleet-sweep API;
+  fleet environment, the consolidated fleet-sweep API, and
+  ``ConsensusBackedFleet``, which mirrors the controller's decisions onto
+  a live MinBFT cluster;
 * :mod:`repro.serve` -- the long-running decision service: sessions
   register fleets (scenario-v1 documents or built controllers), stream
   ticks and read back recovery/replication decisions, with compatible
@@ -56,7 +58,7 @@ use it, so a caller pays at import time only for what it uses.
 
 import importlib
 
-__version__ = "1.20.0"
+__version__ = "1.21.0"
 
 _SUBPACKAGES = frozenset(
     {"consensus", "control", "core", "emulation", "envs", "serve", "sim", "solvers"}

@@ -168,6 +168,16 @@ class ConsensusBackedFleet:
     ) -> None:
         if ticks_per_step < 1:
             raise ValueError("ticks_per_step must be at least 1")
+        if num_clients < 1:
+            raise ValueError("num_clients must be at least 1")
+        if pipeline < 1:
+            raise ValueError("pipeline must be at least 1")
+        if deadline_ticks is not None and deadline_ticks < 1:
+            raise ValueError("deadline_ticks must be at least 1")
+        if retry_interval < 0:
+            raise ValueError("retry_interval must be non-negative")
+        if checkpoint_interval < 0:
+            raise ValueError("checkpoint_interval must be non-negative")
         self.controller = TwoLevelController(
             scenario,
             num_envs=1,

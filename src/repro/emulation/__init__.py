@@ -6,8 +6,7 @@
   empirical-model fitting procedure of Figure 11.
 * :mod:`~repro.emulation.attacker` — multi-step intrusions with Byzantine
   post-compromise behaviour.
-* :mod:`~repro.emulation.services` — background clients and the service
-  request workload.
+* :mod:`~repro.emulation.services` — the background client population.
 * :mod:`~repro.emulation.node` / :mod:`~repro.emulation.environment` — the
   emulated nodes and the full evaluation environment producing Table 7 /
   Figure 12.
@@ -34,7 +33,7 @@ from .environment import (
 )
 from .ids import AlertSample, SnortLikeIDS, collect_alert_dataset, fit_empirical_model
 from .node import EmulatedNode
-from .services import BackgroundClientPopulation, ServiceRequestEvent, ServiceWorkload
+from .services import BackgroundClientPopulation
 from .traces import IntrusionTrace, generate_traces, load_traces, save_traces
 from .vector_env import EmulationVectorEnv
 
@@ -55,8 +54,6 @@ __all__ = [
     "IntrusionTrace",
     "PHYSICAL_NODES",
     "PhysicalNode",
-    "ServiceRequestEvent",
-    "ServiceWorkload",
     "SnortLikeIDS",
     "collect_alert_dataset",
     "container_by_replica_id",

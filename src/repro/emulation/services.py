@@ -3,24 +3,17 @@
 To make the IDS alert streams realistic, every replica in the paper's
 testbed runs a set of background services (Table 5) consumed by a population
 of background clients that "arrive with a Poisson rate lambda = 20 and have
-exponentially distributed service times with mean mu = 4 time-steps".  The
-service-request workload from the replicated-service clients rides on top.
+exponentially distributed service times with mean mu = 4 time-steps".
 
-This module models that load:
-
-* :class:`BackgroundClientPopulation` -- an M/M/inf-style population whose
-  size modulates the benign IDS alert rate and the service request volume;
-* :class:`ServiceWorkload` -- the Poisson stream of read/write requests sent
-  to the replicated service by the paying clients.
+:class:`BackgroundClientPopulation` models that load: an M/M/inf-style
+population whose size modulates the benign IDS alert rate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["BackgroundClientPopulation", "ServiceRequestEvent", "ServiceWorkload"]
+__all__ = ["BackgroundClientPopulation"]
 
 
 class BackgroundClientPopulation:
@@ -60,53 +53,3 @@ class BackgroundClientPopulation:
         """Expected active clients in steady state (Little's law)."""
         return self.arrival_rate * self.mean_service_time
 
-
-@dataclass(frozen=True)
-class ServiceRequestEvent:
-    """One request of the replicated service workload."""
-
-    time_step: int
-    operation: str
-    key: str
-    value: object | None
-
-
-class ServiceWorkload:
-    """Poisson read/write request stream for the replicated service."""
-
-    def __init__(
-        self,
-        requests_per_step: float = 5.0,
-        write_fraction: float = 0.5,
-        key_space: int = 16,
-        seed: int | None = None,
-    ) -> None:
-        if requests_per_step < 0.0:
-            raise ValueError("requests_per_step must be non-negative")
-        if not 0.0 <= write_fraction <= 1.0:
-            raise ValueError("write_fraction must lie in [0, 1]")
-        if key_space < 1:
-            raise ValueError("key_space must be >= 1")
-        self.requests_per_step = requests_per_step
-        self.write_fraction = write_fraction
-        self.key_space = key_space
-        self._rng = np.random.default_rng(seed)
-        self._counter = 0
-
-    def requests_for_step(self, time_step: int) -> list[ServiceRequestEvent]:
-        """Sample the requests issued during one time-step."""
-        count = int(self._rng.poisson(self.requests_per_step))
-        events: list[ServiceRequestEvent] = []
-        for _ in range(count):
-            self._counter += 1
-            is_write = self._rng.random() < self.write_fraction
-            key = f"key-{int(self._rng.integers(self.key_space))}"
-            events.append(
-                ServiceRequestEvent(
-                    time_step=time_step,
-                    operation="write" if is_write else "read",
-                    key=key,
-                    value=self._counter if is_write else None,
-                )
-            )
-        return events

@@ -3,7 +3,8 @@
 Covers the safety-audit helper, the stepwise/pipelined client workload with
 served-availability accounting, the ``on_step`` observer hook of the batched
 controller, and the :class:`~repro.control.ConsensusBackedFleet` integration
-that mirrors controller decisions onto a live cluster.
+that mirrors controller decisions onto a live cluster: safety, validity,
+liveness and the TOLERANCE vs NO-RECOVERY availability gap.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from repro.control import ConsensusBackedFleet, TwoLevelController
 from repro.core import (
     BetaBinomialObservationModel,
     NodeParameters,
+    NoRecoveryStrategy,
     ThresholdStrategy,
+    check_validity,
 )
 from repro.core.strategies import ReplicationThresholdStrategy
 from repro.sim import FleetScenario
@@ -282,6 +285,66 @@ class TestConsensusBackedFleet:
         assert fleet.strict
         assert issubclass(ConsensusSafetyError, AssertionError)
 
-    def test_validation(self):
+    @pytest.fixture(scope="class", params=[0, 5, 11])
+    def horizon_40_runs(self, request):
+        """TOLERANCE and NO-RECOVERY fleets run on one 40-step scenario and seed."""
+        tolerance = self.build(horizon=40)
+        no_recovery = self.build(horizon=40, recovery_policy=NoRecoveryStrategy())
+        return [
+            (fleet, fleet.run(seed=request.param)) for fleet in (tolerance, no_recovery)
+        ]
+
+    def test_executed_requests_were_issued_by_clients(self, horizon_40_runs):
+        """Validity: every request a correct, live replica executed was issued
+        by a workload client.  A replica's ``execution_log`` spans all its
+        incarnations (recovery resets the state machine, not the log); a
+        client's request ids run 1, 2, ... and each one issued is either
+        completed or still pending."""
+        (fleet, _), _ = horizon_40_runs
+        cluster = fleet.cluster
+        issued = {
+            (client.client_id, request_id)
+            for client in fleet.workload.clients
+            for request_id in range(1, len(client.completed) + client.pending_count + 1)
+        }
+        executed = {
+            identifier
+            for replica_id, replica in cluster.replicas.items()
+            if replica.byzantine is ByzantineBehavior.NONE
+            and not cluster.network.is_crashed(replica_id)
+            for identifier, _sequence in replica.execution_log
+        }
+        assert executed
+        assert check_validity(executed, issued)
+        assert not check_validity(executed | {("rogue", 1)}, issued)
+
+    def test_requests_complete_while_replicas_churn(self, horizon_40_runs):
+        """Liveness: the service keeps serving while the attacker compromises
+        replicas and the controllers recover, evict and add them."""
+        (_, tolerance), _ = horizon_40_runs
+        workload = tolerance.workload
+        assert 0 < workload["completed_requests"] <= workload["submitted_requests"]
+
+    def test_no_recovery_degrades_availability(self, horizon_40_runs):
+        (_, tolerance), (_, no_recovery) = horizon_40_runs
+        assert no_recovery.recoveries == 0
+        assert no_recovery.availability < tolerance.availability
+        assert no_recovery.availability < 0.9
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"ticks_per_step": 0},
+            {"num_clients": 0},
+            {"num_clients": -2},
+            {"pipeline": 0},
+            {"deadline_ticks": 0},
+            {"deadline_ticks": -3},
+            {"retry_interval": -1},
+            {"checkpoint_interval": -1},
+        ],
+        ids=lambda kwargs: ",".join(f"{key}={value}" for key, value in kwargs.items()),
+    )
+    def test_validation(self, kwargs):
         with pytest.raises(ValueError):
-            self.build(ticks_per_step=0)
+            self.build(**kwargs)

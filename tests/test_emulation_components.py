@@ -15,7 +15,6 @@ from repro.emulation import (
     CONTAINER_CATALOG,
     EmulatedNode,
     PHYSICAL_NODES,
-    ServiceWorkload,
     SnortLikeIDS,
     collect_alert_dataset,
     container_by_replica_id,
@@ -168,24 +167,6 @@ class TestBackgroundServices:
             BackgroundClientPopulation(arrival_rate=-1)
         with pytest.raises(ValueError):
             BackgroundClientPopulation(mean_service_time=0)
-
-    def test_workload_generates_requests(self):
-        workload = ServiceWorkload(requests_per_step=5.0, seed=0)
-        events = workload.requests_for_step(1)
-        assert all(e.operation in ("read", "write") for e in events)
-
-    def test_workload_write_fraction(self):
-        workload = ServiceWorkload(requests_per_step=20.0, write_fraction=1.0, seed=0)
-        events = workload.requests_for_step(1)
-        assert all(e.operation == "write" for e in events)
-
-    def test_workload_validation(self):
-        with pytest.raises(ValueError):
-            ServiceWorkload(requests_per_step=-1)
-        with pytest.raises(ValueError):
-            ServiceWorkload(write_fraction=2.0)
-        with pytest.raises(ValueError):
-            ServiceWorkload(key_space=0)
 
 
 class TestEmulatedNode:

@@ -81,23 +81,24 @@ def test_dir_of_repro_lists_the_subpackages():
     assert {p.split(".")[1] for p in PACKAGES[1:]} <= names
 
 
+def test_star_import_of_core_leaves_consensus_and_emulation_unloaded():
+    modules = loaded_after("from repro.core import *")
+    assert [m for m in modules if m.startswith(("repro.consensus", "repro.emulation"))] == []
+
+
 def test_lazy_names_are_the_defining_modules_objects():
     same = run_fresh(
         "import json\n"
-        "from repro.core import ToleranceArchitecture, ArchitectureReport\n"
         "from repro.control import ConsensusBackedFleet, ConsensusSafetyError\n"
         "import repro\n"
-        "from repro.core import architecture\n"
         "from repro.control import consensus_loop\n"
         "print(json.dumps([\n"
-        "    ToleranceArchitecture is architecture.ToleranceArchitecture,\n"
-        "    ArchitectureReport is architecture.ArchitectureReport,\n"
         "    ConsensusBackedFleet is consensus_loop.ConsensusBackedFleet,\n"
         "    ConsensusSafetyError is consensus_loop.ConsensusSafetyError,\n"
         "    repro.consensus is __import__('sys').modules['repro.consensus'],\n"
         "]))"
     )
-    assert same == [True] * 5
+    assert same == [True] * 3
 
 
 def test_unknown_attribute_still_raises():
